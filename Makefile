@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-quick bench-smoke bench-dataflow calibrate experiments verify trace-demo sanitize-demo plan-demo lint check-protocol check-dataflow examples coverage clean
+.PHONY: install test perfbench-test bench bench-quick bench-smoke bench-dataflow calibrate experiments verify trace-demo sanitize-demo plan-demo lint check-protocol check-dataflow examples coverage clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -10,11 +10,17 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
+# Tests of the end-to-end benchmark's own harness and answer oracle
+# (outside pyproject's testpaths, so plain `pytest` never collects them).
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests -q
+
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Machine-readable engine comparison: writes BENCH_slices.json at the repo
-# root (batched vs vectorized stage one, SRNA2 sweep, PRNA shm vs pipe).
+# root (batched vs vectorized stage one, SRNA2 sweep, PRNA row barrier vs
+# dataflow schedule).
 bench-quick:
 	$(PYTHON) benchmarks/bench_quick.py
 
@@ -80,7 +86,7 @@ sanitize-demo:
 plan-demo:
 	PYTHONPATH=src $(PYTHON) -m repro.runtime.demo
 
-verify: lint check-protocol check-dataflow trace-demo bench-smoke bench-dataflow calibrate sanitize-demo plan-demo
+verify: lint perfbench-test check-protocol check-dataflow trace-demo bench-smoke bench-dataflow calibrate sanitize-demo plan-demo
 	PYTHONPATH=src $(PYTHON) -m repro.experiments verify
 
 # Tiny traced PRNA run: emits a Chrome trace (one track per rank),

@@ -4,10 +4,10 @@ Writes ``BENCH_slices.json`` at the repository root (override with
 ``--out``).  The headline number is the SRNA2 **stage-one** speedup of the
 batched engine over the per-slice vectorized engine on the contrived worst
 case — the measurement behind making ``"batched"`` the production default
-(target: >= 3x at n = m >= 400).  A small SRNA2/PRNA sweep rides along so
-regressions in either engine or either reduction path show up in one file,
-and a row-barrier vs dataflow schedule comparison records the counter-level
-cost of each synchronization strategy (sync points, publication batches,
+(target: >= 3x at n = m >= 400).  A small SRNA2 sweep rides along so
+regressions in either engine show up in one file, and a row-barrier vs
+dataflow PRNA schedule comparison records the counter-level cost of each
+synchronization strategy (sync points, publication batches,
 coalesced cells, dependency-wait time) with a >= 2x sync-point gate.
 
 Run directly (``python benchmarks/bench_quick.py``) or via
@@ -91,37 +91,6 @@ def bench_srna2_sweep(repeat: int) -> list[dict]:
             entry["seconds"]["vectorized"] / entry["seconds"]["batched"]
         )
         sweep.append(entry)
-    return sweep
-
-
-def bench_prna(repeat: int) -> list[dict]:
-    """PRNA on the process backend: shared-memory vs pipe reductions."""
-    from repro.parallel.prna import prna
-
-    structure = contrived_worst_case(160)
-    sweep = []
-    for label, shared in (("shm", None), ("pipe", False)):
-        best = float("inf")
-        stats = None
-        for _ in range(repeat):
-            start = time.perf_counter()
-            result = prna(
-                structure, structure, 2, backend="process",
-                shared_memory=shared, collect_stats=True,
-            )
-            best = min(best, time.perf_counter() - start)
-            stats = result.comm_stats
-        sweep.append(
-            {
-                "case": "prna_process_2ranks",
-                "length": 160,
-                "reduction": label,
-                "seconds": best,
-                "allreduces": stats["allreduces"],
-                "allreduce_bytes_pickled": stats["allreduce_bytes"],
-                "shm_allreduces": stats["shm_allreduces"],
-            }
-        )
     return sweep
 
 
@@ -212,8 +181,6 @@ def main(argv: list[str] | None = None) -> int:
         results = [headline]
         results += bench_srna2_sweep(args.repeat)
     if not args.skip_prna and os.name == "posix":
-        if not args.only_schedules:
-            results += bench_prna(max(args.repeat - 1, 1))
         schedules = bench_schedules(max(args.repeat - 1, 1))
         results += schedules
 

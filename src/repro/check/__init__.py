@@ -1,17 +1,16 @@
 """``repro.check`` — SPMD static analysis and runtime sanitizers.
 
 PRNA's correctness hangs on an *implicit* SPMD protocol: every rank must
-issue the same per-row ``Allreduce(MAX)`` sequence, and the shared-memory
-reduction adds a two-barrier ownership discipline where each rank may only
-write its owned columns of the shm-backed memo between barriers.  Nothing
-in the algorithm itself checks any of this — a rank-conditional collective
+issue the same per-row ``Allreduce(MAX)`` sequence, and each rank may only
+write its owned columns of the memo table between synchronizations.
+Nothing in the algorithm itself checks any of this — a rank-conditional collective
 or an out-of-partition write silently deadlocks or corrupts ``M``.
 
 This package verifies the protocol in four complementary layers:
 
 * **static, per-module** (:mod:`repro.check.static`,
   ``python -m repro.check`` or ``repro-rna check``) — an AST linter
-  flagging SPMD hazards with rule IDs ``SPMD001``-``SPMD003``,
+  flagging SPMD hazards with rule IDs ``SPMD001``/``SPMD002``,
   ``ARCH001`` and the lexical ``DTYPE101`` (formerly ``SPMD004``), with
   suppression comments, JSON/SARIF output, and a nonzero exit code on
   findings (MPI-Checker-style collective matching);
@@ -34,7 +33,7 @@ This package verifies the protocol in four complementary layers:
   collective with a sequence number, op, dtype, shape, and call site and
   cross-validates the stamps at the rendezvous (diagnostics
   ``SAN101``-``SAN104``), plus a memo-table race detector that diffs the
-  shm-backed table against a per-rank shadow at every row ``Allreduce``
+  guarded table against a per-rank shadow at every row ``Allreduce``
   (``SAN201``-``SAN203``).
 
 See ``docs/static-analysis.md`` for the rule catalog and the sanitizer

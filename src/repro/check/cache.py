@@ -5,8 +5,7 @@ and therefore super-linear in tree size, so re-running it on an unchanged
 tree has to be near-free.  The cache stores, per analyzed file, the
 SHA-256 of its contents plus the findings produced for it, and — because
 per-file findings now depend on *project-wide* facts (cross-module
-constants for SPMD002, shm factories for SPMD003) — a **project
-signature** hashing those facts.  A per-file entry is reused only when
+constants for SPMD002) — a **project signature** hashing those facts.  A per-file entry is reused only when
 both its content hash and the project signature match.
 
 Protocol and dataflow findings are whole-program by construction, so they
@@ -96,8 +95,6 @@ class CheckCache:
             digest.update(info.name.encode())
             for name in sorted(info.constants):
                 digest.update(f"{name}={info.constants[name]};".encode())
-        for name in sorted(index.shm_factories):
-            digest.update(f"factory:{name};".encode())
         return digest.hexdigest()
 
     @staticmethod

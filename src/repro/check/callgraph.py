@@ -1,6 +1,6 @@
 """Whole-program indexing for the protocol verifier.
 
-:class:`ProjectIndex` parses every file once and builds the three
+:class:`ProjectIndex` parses every file once and builds the two
 interprocedural facts the rest of :mod:`repro.check` consumes:
 
 * a **function index** (module-level functions *and* methods, keyed by
@@ -12,11 +12,7 @@ interprocedural facts the rest of :mod:`repro.check` consumes:
   bindings (including ``AugAssign`` updates and tuple unpacking, which
   the original SPMD002 folder silently widened to wildcard), importable
   across modules so a tag constant defined in one file resolves in
-  another;
-* the set of **shm-factory functions** — functions whose return value is
-  (transitively) tainted by ``allocate_shared``/``DenseMemoTable.wrap`` —
-  computed to a fixpoint so SPMD003 tracks handles returned through
-  helpers.
+  another.
 
 The index is deliberately name-based (no type inference): calls on
 unknown receivers stay unresolved, which the protocol interpreter treats
@@ -189,7 +185,6 @@ class ProjectIndex:
             for suffix in _dotted_suffixes(name):
                 self._by_name.setdefault(suffix, info)
             self._index_functions(info)
-        self.shm_factories: set[str] = self._compute_shm_factories()
 
     # ------------------------------------------------------------------
     def _index_functions(self, module: ModuleInfo) -> None:
@@ -304,64 +299,6 @@ class ProjectIndex:
             if target is not None and leaf in target.constants:
                 env[local] = target.constants[leaf]
         return env
-
-    # ------------------------------------------------------------------
-    def _compute_shm_factories(self) -> set[str]:
-        """Functions returning shm-tainted handles, to a fixpoint.
-
-        Seeds on functions whose ``return`` expression calls
-        ``allocate_shared`` or ``DenseMemoTable.wrap`` directly, then
-        propagates through functions that return a call to (or a name
-        assigned from) an already-known factory.
-        """
-        factories: set[str] = set()
-        names: set[str] = set()
-        changed = True
-        while changed:
-            changed = False
-            for info in self.functions.values():
-                if info.qualname in factories:
-                    continue
-                if self._returns_shm(info, names):
-                    factories.add(info.qualname)
-                    names.add(info.node.name)
-                    changed = True
-        return names
-
-    def _returns_shm(self, info: FunctionInfo, factory_names: set[str]) -> bool:
-        from repro.check.rules import _has_shm_source
-
-        local_shm: set[str] = set()
-
-        def tainted(expr: ast.expr) -> bool:
-            if _has_shm_source(expr):
-                return True
-            for sub in ast.walk(expr):
-                if isinstance(sub, ast.Call):
-                    callee = sub.func
-                    callee_name = (
-                        callee.id
-                        if isinstance(callee, ast.Name)
-                        else callee.attr
-                        if isinstance(callee, ast.Attribute)
-                        else None
-                    )
-                    if callee_name in factory_names:
-                        return True
-                if isinstance(sub, ast.Name) and sub.id in local_shm:
-                    return True
-            return False
-
-        for stmt in ast.walk(info.node):
-            if isinstance(stmt, ast.Assign) and tainted(stmt.value):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        local_shm.add(target.id)
-        for stmt in ast.walk(info.node):
-            if isinstance(stmt, ast.Return) and stmt.value is not None:
-                if tainted(stmt.value):
-                    return True
-        return False
 
 
 def _dotted_suffixes(name: str) -> list[str]:

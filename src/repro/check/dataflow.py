@@ -205,9 +205,6 @@ def _is_lift_sink(call: ast.Call) -> str | None:
         return name
     if name == "DenseMemoTable":
         return name
-    if name == "wrap" and isinstance(call.func, ast.Attribute):
-        if "DenseMemoTable" in ast.unparse(call.func.value):
-            return "DenseMemoTable.wrap"
     return None
 
 

@@ -31,17 +31,13 @@ RULES: dict[str, str] = {
         "send with a constant tag that no receive in this module matches "
         "(the receiver will block forever)"
     ),
-    "SPMD003": (
-        "write to a shared-memory-backed array outside an owned-partition "
-        "guard (cross-rank write/write race in the Allreduce window)"
-    ),
     "SPMD004": (
         "deprecated alias of DTYPE101 — narrow integer dtype flows into a "
         "lift-based batched kernel; kept so existing '# noqa: SPMD004' "
         "comments stay effective"
     ),
     "ARCH001": (
-        "direct construction of communicators/Tracer/shm memo outside "
+        "direct construction of communicators/Tracer outside "
         "repro.runtime.context (route through ExecutionContext so plans, "
         "stats and sanitizers stay consistent)"
     ),
@@ -157,7 +153,7 @@ def _ruleset_version() -> str:
 #: Version tag of the enabled rule set (content hash of the catalog).
 RULESET_VERSION = _ruleset_version()
 
-#: ``# noqa`` / ``# noqa: SPMD001, SPMD003`` on the flagged line.
+#: ``# noqa`` / ``# noqa: SPMD001, SPMD002`` on the flagged line.
 _NOQA_RE = re.compile(
     r"#\s*noqa\b(?::?\s*(?P<codes>[A-Z]+\d+(?:\s*,\s*[A-Z]+\d+)*))?",
 )
@@ -186,7 +182,7 @@ def is_suppressed(rule: str, source_line: str) -> bool:
     """Whether *source_line* carries a ``# noqa`` comment covering *rule*.
 
     A bare ``# noqa`` suppresses every rule on that line; ``# noqa:
-    SPMD001, SPMD003`` suppresses only the listed rules.  Anything after
+    SPMD001, SPMD002`` suppresses only the listed rules.  Anything after
     the code list (an em-dash rationale, say) is ignored.
 
     A deprecated alias keeps suppressing its canonical rule: ``# noqa:

@@ -5,20 +5,15 @@ are deliberately *lexical* (no inter-procedural dataflow) and tuned so that
 false positives are rare enough to handle with ``# noqa`` comments:
 
 * **SPMD001** — a collective call (``barrier``/``bcast``/``allreduce``/
-  ``Allreduce``/``allgather``/``gather``/``scatter``/``reduce``/
-  ``allocate_shared``) lexically nested under an ``if``/``while`` whose
-  test mentions a rank (``comm.rank``, ``self._rank``, a bare ``rank``).
+  ``Allreduce``/``allgather``/``gather``/``scatter``/``reduce``)
+  lexically nested under an ``if``/``while`` whose test mentions a rank
+  (``comm.rank``, ``self._rank``, a bare ``rank``).
   This is the MPI-Checker "collective in rank-dependent control flow"
   check: a rank that skips the collective deadlocks every peer.
 * **SPMD002** — a ``send``/``isend`` whose tag resolves to a constant
   (literal, module constant, or class-attribute constant) with no
   ``recv``-family call in the same module matching it.  A receive with a
   tag the analysis cannot resolve matches everything (conservative).
-* **SPMD003** — a subscript store into (or ``.store()`` on) a name
-  tainted by ``allocate_shared``/``DenseMemoTable.wrap`` whose index is
-  not derived from an owned-partition source (``partition.tasks_of``, a
-  name containing ``owned``, a loop over / membership test against such a
-  name).  Outside its partition a rank races the Allreduce window.
 * **DTYPE101** (lexical form; formerly SPMD004) — an array created with
   an explicit sub-64-bit integer dtype flowing into a ``tabulate_slice``
   kernel or ``DenseMemoTable``: the segmented prefix-max lift in
@@ -28,9 +23,9 @@ false positives are rare enough to handle with ``# noqa`` comments:
   interval arithmetic; this lexical form stays on because it is cheap
   and runs per-module.
 * **ARCH001** — direct construction of run-scoped machinery
-  (communicators, backend launchers, ``Tracer``, shared-memory memo
-  tables) outside :mod:`repro.runtime.context`, the layer that owns them.
-  The defining substrate modules (``repro/mpi/*``, ``repro/obs/tracer.py``,
+  (communicators, backend launchers, ``Tracer``) outside
+  :mod:`repro.runtime.context`, the layer that owns them.  The defining
+  substrate modules (``repro/mpi/*``, ``repro/obs/tracer.py``,
   ``repro/check/sanitizer.py``) are exempt; the context module itself
   carries the single sanctioned ``# noqa: ARCH001`` on its factory table.
 """
@@ -54,7 +49,6 @@ COLLECTIVES = frozenset(
         "gather",
         "scatter",
         "reduce",
-        "allocate_shared",
     }
 )
 
@@ -261,207 +255,6 @@ def _check_tags(
 
 
 # ----------------------------------------------------------------------
-# SPMD003 — shm-backed writes outside an owned-partition guard
-# ----------------------------------------------------------------------
-def _expr_names(node: ast.AST) -> set[str]:
-    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
-
-
-def _has_shm_source(
-    node: ast.AST, factories: frozenset[str] | set[str] = frozenset()
-) -> bool:
-    """Whether *node* produces an shm-backed handle.
-
-    *factories* extends the lexical sources (``allocate_shared`` /
-    ``DenseMemoTable.wrap``) with project-level helper functions the call
-    graph proved to return shm handles, so a table obtained through
-    ``make_table(comm, ...)`` in another function is still tracked.
-    """
-    for sub in ast.walk(node):
-        if not isinstance(sub, ast.Call):
-            continue
-        if isinstance(sub.func, ast.Attribute):
-            if sub.func.attr == "allocate_shared":
-                return True
-            if sub.func.attr == "wrap" and "DenseMemoTable" in ast.unparse(
-                sub.func.value
-            ):
-                return True
-            if sub.func.attr in factories:
-                return True
-        elif isinstance(sub.func, ast.Name) and sub.func.id in factories:
-            return True
-    return False
-
-
-def _has_owned_source(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and "owned" in sub.id:
-            return True
-        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
-            if sub.func.attr == "tasks_of":
-                return True
-    return False
-
-
-class _ShmWriteChecker:
-    """Forward may-taint pass over one function (or the module body)."""
-
-    def __init__(
-        self,
-        path: str,
-        findings: list[Finding],
-        factories: frozenset[str] = frozenset(),
-    ):
-        self._path = path
-        self._findings = findings
-        self._factories = factories
-        self.shm: set[str] = set()
-        self.owned: set[str] = set()
-
-    def _owned_expr(self, node: ast.AST) -> bool:
-        return bool(self.owned & _expr_names(node)) or _has_owned_source(node)
-
-    def _shm_expr(self, node: ast.AST) -> bool:
-        return bool(self.shm & _expr_names(node)) or _has_shm_source(
-            node, self._factories
-        )
-
-    def _taint_targets(self, targets: list[ast.expr], value: ast.expr) -> None:
-        shm = self._shm_expr(value)
-        owned = self._owned_expr(value)
-        for target in targets:
-            names = (
-                [target]
-                if isinstance(target, ast.Name)
-                else [e for e in ast.walk(target) if isinstance(e, ast.Name)]
-            )
-            for name in names:
-                if not isinstance(name, ast.Name):
-                    continue
-                if shm:
-                    self.shm.add(name.id)
-                if owned or "owned" in name.id:
-                    self.owned.add(name.id)
-
-    def _check_store(self, target: ast.expr) -> None:
-        if not isinstance(target, ast.Subscript):
-            return
-        root = _receiver_root(target.value)
-        if root is None or root not in self.shm:
-            return
-        if self._owned_expr(target.slice):
-            return
-        self._findings.append(
-            Finding(
-                "SPMD003",
-                self._path,
-                target.lineno,
-                target.col_offset,
-                f"write to shared-memory-backed array '{root}' with an "
-                "index not derived from the owned partition — out-of-"
-                "partition writes race the shm Allreduce window",
-            )
-        )
-
-    def _check_store_call(self, call: ast.Call) -> None:
-        func = call.func
-        if not isinstance(func, ast.Attribute) or func.attr != "store":
-            return
-        root = (
-            func.value.id if isinstance(func.value, ast.Name) else None
-        )
-        if root is None or root not in self.shm:
-            return
-        if any(self._owned_expr(arg) for arg in call.args):
-            return
-        self._findings.append(
-            Finding(
-                "SPMD003",
-                self._path,
-                call.lineno,
-                call.col_offset,
-                f"'{root}.store(...)' on a shared-memory-backed table with "
-                "indices not derived from the owned partition",
-            )
-        )
-
-    def run(self, body: list[ast.stmt]) -> None:
-        for stmt in body:
-            self._visit_stmt(stmt)
-
-    def _visit_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Assign):
-            self._taint_targets(stmt.targets, stmt.value)
-            for target in stmt.targets:
-                self._check_store(target)
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            self._taint_targets([stmt.target], stmt.value)
-            self._check_store(stmt.target)
-        elif isinstance(stmt, ast.AugAssign):
-            self._check_store(stmt.target)
-        elif isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-            self._check_store_call(stmt.value)
-        elif isinstance(stmt, ast.For):
-            if self._owned_expr(stmt.iter):
-                self._taint_targets([stmt.target], stmt.iter)
-            self.run(stmt.body)
-            self.run(stmt.orelse)
-        elif isinstance(stmt, ast.If):
-            guard_name = self._membership_guard(stmt.test)
-            added = guard_name is not None and guard_name not in self.owned
-            if added:
-                self.owned.add(guard_name)  # type: ignore[arg-type]
-            self.run(stmt.body)
-            if added:
-                self.owned.discard(guard_name)  # type: ignore[arg-type]
-            self.run(stmt.orelse)
-        elif isinstance(stmt, ast.While):
-            self.run(stmt.body)
-            self.run(stmt.orelse)
-        elif isinstance(stmt, ast.With):
-            self.run(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            self.run(stmt.body)
-            for handler in stmt.handlers:
-                self.run(handler.body)
-            self.run(stmt.orelse)
-            self.run(stmt.finalbody)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            nested = _ShmWriteChecker(self._path, self._findings,
-                                      self._factories)
-            nested.owned = {
-                arg.arg
-                for arg in stmt.args.args + stmt.args.kwonlyargs
-                if "owned" in arg.arg
-            }
-            nested.run(stmt.body)
-
-    @staticmethod
-    def _membership_guard(test: ast.expr) -> str | None:
-        """``if b in owned_set:`` -> ``"b"`` (taint b inside the body)."""
-        if (
-            isinstance(test, ast.Compare)
-            and len(test.ops) == 1
-            and isinstance(test.ops[0], ast.In)
-            and isinstance(test.left, ast.Name)
-            and _has_owned_source(test.comparators[0])
-        ):
-            return test.left.id
-        return None
-
-
-def _check_shm_writes(
-    tree: ast.Module,
-    path: str,
-    findings: list[Finding],
-    factories: frozenset[str] = frozenset(),
-) -> None:
-    checker = _ShmWriteChecker(path, findings, factories)
-    checker.run(tree.body)
-
-
-# ----------------------------------------------------------------------
 # DTYPE101 (formerly SPMD004) — narrow dtypes into lift-based kernels
 # ----------------------------------------------------------------------
 def _narrow_dtype_of(call: ast.Call) -> str | None:
@@ -507,8 +300,6 @@ def _is_lift_sink(call: ast.Call) -> bool:
     )
     if any(name.startswith(prefix) for prefix in _LIFT_SINKS):
         return True
-    if name == "wrap" and isinstance(func, ast.Attribute):
-        return "DenseMemoTable" in ast.unparse(func.value)
     return name == "DenseMemoTable"
 
 
@@ -632,17 +423,7 @@ def _arch_flagged_name(call: ast.Call) -> str | None:
         if isinstance(func, ast.Name)
         else None
     )
-    if name in _ARCH_FACTORIES:
-        return name
-    if name == "allocate_shared" and isinstance(func, ast.Attribute):
-        return "allocate_shared"
-    if (
-        name == "wrap"
-        and isinstance(func, ast.Attribute)
-        and "DenseMemoTable" in ast.unparse(func.value)
-    ):
-        return "DenseMemoTable.wrap"
-    return None
+    return name if name in _ARCH_FACTORIES else None
 
 
 def _check_architecture(
@@ -664,9 +445,8 @@ def _check_architecture(
                 node.col_offset,
                 f"direct construction of runtime machinery ({flagged!r}) "
                 "outside repro.runtime.context — route through "
-                "ExecutionContext (or its sanitize_communicator/"
-                "shared_memo helpers) so plans, stats and sanitizers "
-                "stay consistent",
+                "ExecutionContext (or its sanitize_communicator helper) "
+                "so plans, stats and sanitizers stay consistent",
             )
         )
 
@@ -677,20 +457,16 @@ def analyze_module(
     path: str,
     *,
     extra_constants: dict[str, int] | None = None,
-    shm_factories: frozenset[str] = frozenset(),
 ) -> list[Finding]:
     """Run every per-module static rule over one parsed module.
 
     *extra_constants* widens SPMD002's tag folder with constants imported
-    from other analyzed modules; *shm_factories* widens SPMD003's taint
-    sources with helper functions the call graph proved to return shm
-    handles.  Both default to the module-local behaviour so single-file
-    analysis (tests, snippets) is unchanged.
+    from other analyzed modules; it defaults to the module-local
+    behaviour so single-file analysis (tests, snippets) is unchanged.
     """
     findings: list[Finding] = []
     _RankConditionalVisitor(findings, path).visit(tree)
     _check_tags(tree, path, findings, extra_constants)
-    _check_shm_writes(tree, path, findings, shm_factories)
     _check_dtype_smells(tree, path, findings)
     _check_architecture(tree, path, findings)
     findings.sort(key=lambda f: (f.line, f.col, f.rule))

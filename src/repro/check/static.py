@@ -148,8 +148,8 @@ def analyze_project(
 ) -> tuple[list[Finding], int]:
     """All findings under *paths* with full project context.
 
-    Per-module rules run with cross-module constants (SPMD002) and
-    call-graph shm factories (SPMD003); *protocol* adds the
+    Per-module rules run with cross-module constants (SPMD002);
+    *protocol* adds the
     interprocedural SPMD1xx/SPMD2xx/SCHED0xx families; *dataflow* adds
     the numeric DTYPE1xx/SHAPE1xx/COST0xx families.  *cache* is an
     optional :class:`repro.check.cache.CheckCache`.
@@ -203,7 +203,6 @@ def analyze_project(
             trees[filename],
             filename,
             extra_constants=index.constant_env(module),
-            shm_factories=frozenset(index.shm_factories),
         )
         per_file[filename] = _filter_noqa(
             raw, sources[filename].splitlines(), trees[filename]
@@ -266,8 +265,7 @@ def analyze_paths(paths: list[str]) -> tuple[list[Finding], int]:
     """All per-module findings under *paths* plus the file count.
 
     Kept as the simple entry point (no protocol pass, no cache); project
-    context is still applied so cross-module tags and helper-returned shm
-    handles resolve.
+    context is still applied so cross-module tags resolve.
     """
     return analyze_project(paths)
 

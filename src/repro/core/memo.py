@@ -82,25 +82,6 @@ class DenseMemoTable:
         self._values = np.zeros((max(n, 1), max(m, 1)), dtype=dtype)
         self._known = np.zeros_like(self._values, dtype=bool) if track_known else None
 
-    @classmethod
-    def wrap(cls, values: np.ndarray) -> "DenseMemoTable":
-        """Adopt an existing 2-D array as the table's backing storage.
-
-        Used by PRNA to back the memo with a shared-memory segment
-        allocated by the communicator (see
-        :meth:`repro.mpi.process.ProcessCommunicator.allocate_shared`), so
-        row synchronization can reduce in place without copies.  The array
-        is used as-is — the caller guarantees it starts zeroed.
-        """
-        if values.ndim != 2:
-            raise ValueError(
-                f"memo backing array must be 2-D, got shape {values.shape}"
-            )
-        table = cls.__new__(cls)
-        table._values = values
-        table._known = None
-        return table
-
     @property
     def values(self) -> np.ndarray:
         return self._values

@@ -2,7 +2,7 @@
 
 These are the textbook algorithms an MPI library would choose between for
 ``MPI_Allreduce``; implementing them over the substrate's ``send``/``recv``
-(rather than the shared-memory rendezvous) exercises real distributed
+(rather than the rendezvous-based collectives) exercises real distributed
 communication patterns, and their analytic costs are mirrored in
 :meth:`repro.mpi.costmodel.CostModel.allreduce` for the simulator and the
 collective-algorithm ablation.

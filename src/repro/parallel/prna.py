@@ -44,7 +44,7 @@ from repro.obs.tracer import NULL_SPAN, Tracer
 from repro.parallel.dataflow import dataflow_stage_one
 from repro.parallel.schedule import StageOneState, row_barrier_stage_one
 from repro.perf.model import WorkModel
-from repro.runtime.context import ExecutionContext, sanitize_communicator, shared_memo
+from repro.runtime.context import ExecutionContext, sanitize_communicator
 from repro.runtime.registry import SYNC_MODES
 from repro.scheduling.partition import PARTITIONERS, Partition
 from repro.scheduling.workload import column_weights
@@ -102,7 +102,6 @@ def prna_rank(
     validate: bool = False,
     instrumentation: Instrumentation | None = None,
     tracer: Tracer | None = None,
-    shared_memory: bool | None = None,
     sanitize: bool = False,
     sanitize_timeout: float = 30.0,
 ) -> PRNAResult:
@@ -115,14 +114,6 @@ def prna_rank(
         batch-capable engine (the default ``"batched"``) each rank
         tabulates all its owned columns of an outer arc in one batch —
         the column partition *is* the batch definition.
-    shared_memory:
-        ``None`` (default) backs the memo table with communicator-shared
-        memory whenever the backend supports zero-copy reductions (the
-        process backend), so each row ``Allreduce(MAX)`` reduces in place
-        across per-rank shared segments instead of pickling rows through
-        pipes.  ``True`` requires such a backend
-        (:class:`~repro.errors.CommunicatorError` otherwise); ``False``
-        forces the plain (pickling) path.
     sync_mode:
         ``"row"`` is the paper's algorithm.  ``"pair"`` synchronizes after
         every slice (correct but chatty — the granularity ablation).
@@ -212,32 +203,14 @@ def prna_rank(
     weights = column_weights(s1, s2)
     partition = build(weights, comm.size)
     owned = partition.tasks_of(comm.rank)
-    if shared_memory is None:
-        # Dataflow stage one performs no reductions, so shared segments
-        # buy nothing; default them off (forcing True still works — the
-        # per-rank segments are private outside collectives).
-        use_shm = comm.supports_shared_reduction and sync_mode != "dataflow"
-    else:
-        use_shm = bool(shared_memory)
-        if use_shm and not comm.supports_shared_reduction:
-            raise CommunicatorError(
-                "shared_memory=True requires a backend with shared-memory "
-                f"reductions; {type(comm).__name__} has none"
-            )
-    if use_shm:
-        # Collective: every rank allocates its own segment and attaches
-        # the peers'.  Row views of this table make Allreduce zero-copy.
-        memo = shared_memo(comm, n, m)
-    else:
-        memo = DenseMemoTable(n, m)
-    if sanitize:
-        # Register the table with the sanitizer: this rank may only write
-        # columns s2.lefts[owned] + 1 between row synchronizations.
-        owned_arr0 = np.asarray(owned, dtype=np.int64)
-        memo = comm.guard_memo(memo, owned_columns=s2.lefts[owned_arr0] + 1)
-    values = memo.values
     owned_arr = np.asarray(owned, dtype=np.int64)
     owned_cols = s2.lefts[owned_arr] + 1
+    memo = DenseMemoTable(n, m)
+    if sanitize:
+        # Register the table with the sanitizer: this rank may only write
+        # its owned columns between row synchronizations.
+        memo = comm.guard_memo(memo, owned_columns=owned_cols)
+    values = memo.values
     # With a batch-capable engine the owned-column loop becomes one
     # batch per outer arc: the rank's partition defines the batch.
     # (The "pair" ablation needs a collective per arc pair, so it
@@ -339,7 +312,7 @@ def prna_rank(
             score = comm.bcast(score, root=0)
         # Every rank stores the agreed score after the final broadcast, so
         # the identical write is race-free by construction.
-        memo.store(0, 0, score)  # noqa: SPMD003
+        memo.store(0, 0, score)
     finally:
         if stage_ctx is not None:
             stage_ctx.__exit__(None, None, None)
@@ -371,7 +344,6 @@ def prna(
     validate: bool = False,
     tracer: Tracer | None = None,
     collect_stats: bool = False,
-    shared_memory: bool | None = None,
     sanitize: bool = False,
     sanitize_timeout: float = 30.0,
 ) -> PRNAResult:
@@ -380,9 +352,6 @@ def prna(
     ``backend`` is ``"thread"``, ``"process"`` or ``"self"`` (the latter
     requires ``n_ranks == 1``).  When *cost_model* is given, virtual clocks
     are enabled and the returned result carries the simulated time.
-    ``shared_memory`` follows :func:`prna_rank`: by default the process
-    backend reduces memo rows through shared memory (zero pickled bytes);
-    pass ``False`` to force the pipe/queue path.
 
     With *tracer* (thread/self backends only — process ranks cannot share
     an in-memory tracer), every rank records its timeline on its own
@@ -404,8 +373,7 @@ def prna(
             comm, s1, s2,
             partitioner=partitioner, engine=engine, sync_mode=sync_mode,
             charge=charge, work_model=work_model, validate=validate,
-            tracer=tracer, shared_memory=shared_memory,
-            sanitize=sanitize, sanitize_timeout=sanitize_timeout,
+            tracer=tracer, sanitize=sanitize, sanitize_timeout=sanitize_timeout,
         )
 
     results = context.launch(

@@ -1,8 +1,8 @@
 """Layer 1 of the solver stack: plans and the planner.
 
 A :class:`Plan` is a fully resolved, explainable execution decision:
-which algorithm, slice engine, backend, world size, partition strategy and
-shared-memory/sanitizer settings a solve should run with.  A
+which algorithm, slice engine, backend, world size, partition strategy,
+synchronization schedule and sanitizer setting a solve should run with.  A
 :class:`Planner` produces plans from two structures (or a query + target
 collection) plus :class:`ResourceHints`, using the calibrated work model
 (:mod:`repro.perf.model` — replaceable with a host fit from
@@ -15,8 +15,7 @@ cannot pay for itself and plain SRNA2 wins; above it the planner models
 candidate world sizes with the cost model and picks the fastest.  The
 synchronization *schedule* is priced the same way: ``sync_mode="auto"``
 compares the row barrier's per-arc collective bill against the dataflow
-executor's point-to-point publication traffic, and ``shared_memory=None``
-resolves through the shm-vs-pipe crossover — all with a latency/bandwidth
+executor's point-to-point publication traffic, with a latency/bandwidth
 spec preferring the measured on-node calibration
 (:func:`repro.perf.calibrate.calibrate_cluster_spec`, ``make calibrate``)
 over built-in defaults, never the paper's Fundy constants.  Dynamic
@@ -65,6 +64,15 @@ __all__ = [
 #: regime) and the planner stays with plain SRNA2.
 PARALLEL_THRESHOLD_SECONDS = 0.5
 
+#: What each PRNA stage-one schedule synchronizes; the sync rationale line
+#: is the one place ``plan.explain()`` describes the schedule.
+_SCHEDULES = {
+    "row": "one Allreduce per memo row",
+    "pair": "one Allreduce per arc pair",
+    "deferred": "no intra-stage synchronization",
+    "dataflow": "dependency-driven coalesced point-to-point publication",
+}
+
 
 def local_cluster(cores: int) -> ClusterSpec:
     """Cost-model spec for *this* machine (one node, shared memory).
@@ -82,8 +90,6 @@ def local_cluster(cores: int) -> ClusterSpec:
         beta=2.0e-10,
         sync_overhead=2.0e-5,
         contention=0.05,
-        shm_beta=1.0e-10,
-        shm_setup=5.0e-2,
     )
 
 
@@ -141,7 +147,6 @@ class Plan:
     n_ranks: int
     partitioner: str = "greedy"
     sync_mode: str = "row"
-    shared_memory: bool | None = None
     sanitize: bool = False
     checkpoint_path: str | None = None
     workload: str = "pair"  # "pair" (one comparison) or "search" (batch)
@@ -350,7 +355,6 @@ class Planner:
         n_ranks: int | None = None,
         partitioner: str = "greedy",
         sync_mode: str = AUTO,
-        shared_memory: bool | None = None,
         sanitize: bool = False,
         checkpoint_path: str | None = None,
         with_backtrace: bool = False,
@@ -406,17 +410,17 @@ class Planner:
         resolved_backend = self._choose_backend(
             algorithm, hinted_backend, chosen_ranks, rationale
         )
-        if sync_mode == AUTO:
-            if algorithm == "prna":
-                sync_mode = self._choose_sync_mode(
-                    s1, s2, chosen_ranks, cost, cluster_source, rationale
-                )
-            else:
+        if algorithm != "prna":
+            if sync_mode == AUTO:
                 sync_mode = "row"
-        if shared_memory is None and algorithm == "prna":
-            shared_memory = self._choose_shared_memory(
-                s1, s2, chosen_ranks, resolved_backend, sync_mode, cost,
-                rationale,
+        elif sync_mode == AUTO:
+            sync_mode = self._choose_sync_mode(
+                s1, s2, chosen_ranks, cost, cluster_source, rationale
+            )
+        else:
+            rationale.append(
+                f"sync {sync_mode!r} requested by caller "
+                f"({_SCHEDULES[sync_mode]})"
             )
         self._note_memory(s1, s2, chosen_ranks, resolved_backend, rationale)
         if sanitize:
@@ -434,7 +438,6 @@ class Planner:
             n_ranks=chosen_ranks,
             partitioner=partitioner,
             sync_mode=sync_mode,
-            shared_memory=shared_memory,
             sanitize=sanitize,
             checkpoint_path=checkpoint_path,
             workload="pair",
@@ -488,7 +491,7 @@ class Planner:
         )
         rationale.append(
             f"exceeds the {self.threshold_seconds:g} s threshold -> prna "
-            "(static greedy column partition, one Allreduce per memo row)"
+            "(static greedy column partition)"
         )
         return "prna", ranks, estimated
 
@@ -579,8 +582,7 @@ class Planner:
             return "thread"
         if os.name == "posix":
             rationale.append(
-                "backend auto -> 'process' (true parallelism; zero-copy "
-                "shared-memory row reductions)"
+                "backend auto -> 'process' (true parallelism across the GIL)"
             )
             return "process"
         rationale.append("backend auto -> 'thread' (no POSIX fork here)")
@@ -614,56 +616,11 @@ class Planner:
         df_s = self._dataflow_comm_seconds(s1, s2, n_ranks, cost)
         mode = "dataflow" if df_s < row_s else "row"
         rationale.append(
-            f"sync auto -> {mode!r}: modeled stage-one sync — row barrier "
-            f"{row_s:.3g} s ({s1.n_arcs} Allreduce) vs dataflow {df_s:.3g} s "
-            f"(dependency-driven coalesced publication); priced with "
-            f"{cluster_source}"
+            f"sync auto -> {mode!r} ({_SCHEDULES[mode]}): modeled stage-one "
+            f"sync — row barrier {row_s:.3g} s ({s1.n_arcs} row reductions) "
+            f"vs dataflow {df_s:.3g} s; priced with {cluster_source}"
         )
         return mode
-
-    def _choose_shared_memory(
-        self,
-        s1: Structure,
-        s2: Structure,
-        n_ranks: int,
-        backend: str,
-        sync_mode: str,
-        cost: CostModel,
-        rationale: list[str],
-    ) -> bool | None:
-        """Resolve ``shared_memory=None`` via the shm-vs-pipe crossover.
-
-        Only the process backend has the zero-copy shared-segment path,
-        and only the collective schedules reduce rows at all; everywhere
-        else the driver default stands.  For row reductions, shared
-        memory trades per-byte pickling for three control rounds per call
-        plus a one-time segment setup — cheaper only above a
-        cost-model-priced problem size (the measured small-``n``
-        regression: shm 0.30 s vs pipe 0.22 s at n=160).
-        """
-        if backend != "process" or n_ranks <= 1:
-            return None
-        if sync_mode == "dataflow":
-            rationale.append(
-                "shared memory off: the dataflow schedule publishes row "
-                "segments point-to-point — no collective row reduction "
-                "to accelerate"
-            )
-            return False
-        rows = s1.n_arcs
-        row_bytes = max(s2.length, 1) * 8
-        pipe_s = rows * cost.allreduce(n_ranks, row_bytes)
-        shm_s = (
-            cost.cluster.shm_setup
-            + rows * cost.shm_allreduce(n_ranks, row_bytes)
-        )
-        use = shm_s < pipe_s
-        rationale.append(
-            f"shared-memory rows {'on' if use else 'off'}: {rows} row "
-            f"reductions modeled shm {shm_s:.3g} s (incl. "
-            f"{cost.cluster.shm_setup:.3g} s setup) vs pipe {pipe_s:.3g} s"
-        )
-        return use
 
     def _note_memory(
         self,

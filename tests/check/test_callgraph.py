@@ -182,50 +182,3 @@ class TestConstantEnvironment:
     def test_bools_are_not_tag_constants(self):
         index = index_of(pkg_a="FLAG = True\n")
         assert "FLAG" not in index.modules["src/pkg/a.py"].constants
-
-
-class TestShmFactories:
-    def test_direct_factory(self):
-        index = index_of(
-            pkg_a="""
-            def make_memo(comm, shape):
-                return DenseMemoTable.wrap(comm.allocate_shared(shape))
-            """
-        )
-        assert "make_memo" in index.shm_factories
-
-    def test_transitive_factory_through_helper(self):
-        index = index_of(
-            pkg_a="""
-            def inner(comm, shape):
-                return comm.allocate_shared(shape)
-
-            def outer(comm, shape):
-                handle = inner(comm, shape)
-                return handle
-            """
-        )
-        assert {"inner", "outer"} <= index.shm_factories
-
-    def test_non_factory_excluded(self):
-        index = index_of(
-            pkg_a="""
-            def plain(x):
-                return x + 1
-            """
-        )
-        assert "plain" not in index.shm_factories
-
-    def test_subscript_indirection_is_opaque(self):
-        # The context module's _RAW factory table is deliberately opaque
-        # to the lexical taint — the shipped tree's shared_memo helper
-        # must NOT become a factory (its # noqa discipline covers it).
-        index = index_of(
-            pkg_a="""
-            _RAW = {"shm": None}
-
-            def shared_memo(comm, shape):
-                return _RAW["shm"](comm, shape)
-            """
-        )
-        assert "shared_memo" not in index.shm_factories

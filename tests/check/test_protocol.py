@@ -6,7 +6,7 @@ Three layers, mirroring the module structure:
   normalization and comparison;
 * the **interpreter** — schedules extracted from synthetic SPMD programs
   and from the real shipped entry points (PRNA row-sync, manager/worker,
-  the shm two-barrier Allreduce);
+  the process backend's recursive-doubling Allreduce);
 * the **rules** — SPMD1xx/SPMD2xx on schedules, SCHED0xx legality over
   :func:`repro.analysis.depgraph.arc_dependency_pairs`.
 """
@@ -233,18 +233,18 @@ class TestRealTree:
         assert collective_names(per_rank["R0"]) == ["bcast"]
         assert collective_names(per_rank["Rk"]) == ["bcast"]
 
-    def test_shm_allreduce_inlines_barrier_protocol(self, real_index):
+    def test_process_allreduce_inlines_recursive_doubling(self, real_index):
         per_entry = extract_schedules(real_index)
         per_rank = per_entry[
             "repro.mpi.process.ProcessCommunicator.Allreduce"
         ]
-        # The two-barrier shm protocol is all point-to-point: the
-        # schedule must contain the inlined _barrier/_exchange send/recv
-        # events and no collectives (nothing to disagree on).
-        events = list(iter_events(per_rank["R0"]))
-        kinds = {type(e).__name__ for e in events}
-        assert "SendEvent" in kinds and "RecvEvent" in kinds
-        assert collective_names(per_rank["R0"]) == []
+        # Recursive doubling is all point-to-point: every rank's schedule
+        # must contain its inlined send/recv exchange and no collectives
+        # (nothing to disagree on).
+        for rank in ("R0", "Rk"):
+            kinds = {type(e).__name__ for e in iter_events(per_rank[rank])}
+            assert "SendEvent" in kinds and "RecvEvent" in kinds
+            assert collective_names(per_rank[rank]) == []
 
     def test_dataflow_schedule_publishes_and_awaits(self, real_index):
         per_entry = extract_schedules(real_index)

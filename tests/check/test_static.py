@@ -8,7 +8,7 @@ import textwrap
 import pytest
 
 from repro.check import analyze_source, run_check
-from repro.check.findings import RULES, Finding, is_suppressed
+from repro.check.findings import DEPRECATED_RULES, RULES, Finding, is_suppressed
 
 
 def check(source: str, path: str = "snippet.py"):
@@ -189,62 +189,6 @@ class TestSPMD002:
         assert findings == []
 
 
-class TestSPMD003:
-    def test_unguarded_write_to_shared(self):
-        findings = check_substrate(
-            """
-            def fn(comm, j):
-                table = comm.allocate_shared((4, 4))
-                table[0, j] = 1
-            """
-        )
-        assert rules_of(findings) == ["SPMD003"]
-
-    def test_owned_guarded_write_clean(self):
-        findings = check_substrate(
-            """
-            def fn(comm, partition):
-                table = comm.allocate_shared((4, 4))
-                owned = partition.tasks_of(comm.rank)
-                for b in owned:
-                    table[0, b] = 1
-            """
-        )
-        assert findings == []
-
-    def test_membership_guard_clean(self):
-        findings = check_substrate(
-            """
-            def fn(comm, owned_set, b):
-                table = comm.allocate_shared((4, 4))
-                if b in owned_set:
-                    table[0, b] = 1
-            """
-        )
-        assert findings == []
-
-    def test_wrap_taints_and_store_flagged(self):
-        findings = check_substrate(
-            """
-            def fn(comm):
-                memo = DenseMemoTable.wrap(comm.allocate_shared((4, 4)))
-                memo.store(0, 0, 5)
-            """
-        )
-        assert rules_of(findings) == ["SPMD003"]
-
-    def test_private_table_writes_clean(self):
-        findings = check(
-            """
-            import numpy as np
-            def fn(j):
-                table = np.zeros((4, 4))
-                table[0, j] = 1
-            """
-        )
-        assert findings == []
-
-
 class TestLexicalDTYPE101:
     # Formerly SPMD004 — the rule now reports under its semantic
     # replacement's ID, and `# noqa: SPMD004` keeps suppressing it.
@@ -342,15 +286,6 @@ class TestARCH001:
         )
         assert rules_of(findings) == ["ARCH001", "ARCH001"]
 
-    def test_shm_memo_construction_flagged(self):
-        findings = check(
-            """
-            def fn(comm):
-                return DenseMemoTable.wrap(comm.allocate_shared((4, 4)))
-            """
-        )
-        assert sorted(set(rules_of(findings))) == ["ARCH001"]
-
     def test_substrate_modules_exempt(self):
         source = """
             def fn(fn2):
@@ -399,8 +334,8 @@ class TestSuppression:
         assert is_suppressed("SPMD001", "comm.barrier()  # noqa")
 
     def test_listed_code(self):
-        line = "memo.store(0, 0, s)  # noqa: SPMD003"
-        assert is_suppressed("SPMD003", line)
+        line = "comm.send(x, 1, tag=9)  # noqa: SPMD002"
+        assert is_suppressed("SPMD002", line)
         assert not is_suppressed("SPMD001", line)
 
     def test_multiple_codes(self):
@@ -417,6 +352,21 @@ class TestSuppression:
         assert is_suppressed("DTYPE101", line)
         assert not is_suppressed("DTYPE102", line)
         assert not is_suppressed("SPMD001", line)
+
+    def test_retired_rule_token_is_harmless(self):
+        # SPMD003 retired with the shared-memory reduction path: its ID is
+        # not reused or aliased, and a leftover `# noqa: SPMD003` neither
+        # errors nor suppresses a live rule.
+        assert "SPMD003" not in RULES
+        assert "SPMD003" not in DEPRECATED_RULES
+        findings = check(
+            """
+            def fn(comm):
+                if comm.rank == 0:
+                    comm.barrier()  # noqa: SPMD003
+            """
+        )
+        assert rules_of(findings) == ["SPMD001"]
 
     def test_noqa_filters_findings(self):
         findings = check(
@@ -435,7 +385,6 @@ class TestDriver:
             # Per-module lexical rules (SPMD004 is a deprecated alias).
             "SPMD001",
             "SPMD002",
-            "SPMD003",
             "SPMD004",
             "ARCH001",
             # Interprocedural protocol rules (--protocol).
@@ -694,7 +643,7 @@ class TestBaseline:
 
 
 class TestProjectContext:
-    """Satellites: SPMD002/SPMD003 with whole-program context."""
+    """Satellites: SPMD002 with whole-program context."""
 
     def test_spmd002_augassign_tag(self):
         # TAG is built up with AugAssign; the folder must track it.
@@ -759,54 +708,6 @@ class TestProjectContext:
         findings, _ = analyze_project([str(tmp_path)])
         assert [f.rule for f in findings] == ["SPMD002"]
         assert "tag 11" in findings[0].message
-
-    def test_spmd003_handle_through_helper(self, tmp_path):
-        # Regression: the shm handle is minted by a helper function, so
-        # the module-local taint never sees allocate_shared.  The call
-        # graph marks make_table as an shm factory and the write is
-        # flagged.  (This was a false negative before the project pass.)
-        from repro.check.static import analyze_project
-
-        (tmp_path / "mod.py").write_text(
-            "def make_table(comm, shape):\n"
-            "    return comm.allocate_shared(shape)\n"
-            "\n"
-            "def fn(comm, j):\n"
-            "    table = make_table(comm, (4, 4))\n"
-            "    table[0, j] = 1\n"
-        )
-        findings, _ = analyze_project([str(tmp_path)])
-        assert "SPMD003" in [f.rule for f in findings]
-
-    def test_spmd003_helper_false_negative_without_project(self, tmp_path):
-        # Documents WHY the call-graph promotion matters: the same code
-        # is invisible to the single-module pass.
-        source = (
-            "def make_table(comm, shape):\n"
-            "    return comm.allocate_shared(shape)\n"
-            "\n"
-            "def fn(comm, j):\n"
-            "    table = make_table(comm, (4, 4))\n"
-            "    table[0, j] = 1\n"
-        )
-        assert "SPMD003" not in rules_of(check(source))
-
-    def test_spmd003_guarded_helper_handle_clean(self, tmp_path):
-        from repro.check.static import analyze_project
-
-        (tmp_path / "mod.py").write_text(
-            "def make_table(comm, shape):\n"
-            "    return comm.allocate_shared(shape)\n"
-            "\n"
-            "def fn(comm, partition):\n"
-            "    table = make_table(comm, (4, 4))\n"
-            "    for b in partition.tasks_of(comm.rank):\n"
-            "        table[0, b] = 1\n"
-        )
-        findings, _ = analyze_project([str(tmp_path)])
-        # ARCH001 (raw allocate_shared outside the substrate) still
-        # fires; the point is that the *guarded* write draws no SPMD003.
-        assert [f.rule for f in findings] == ["ARCH001"]
 
 
 class TestSuppressionTransparency:

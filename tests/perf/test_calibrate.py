@@ -47,8 +47,7 @@ class TestCalibrationRecord:
 
         return ClusterSpec(
             cores_per_node=2, n_nodes=1, alpha=3e-6, beta=2e-10,
-            sync_overhead=9e-6, contention=0.05, shm_beta=4e-11,
-            shm_setup=1.5e-3,
+            sync_overhead=9e-6, contention=0.05,
         )
 
     def test_round_trip(self, tmp_path):
@@ -116,3 +115,29 @@ class TestCalibrationRecord:
         spec = load_calibration(str(path))
         assert spec is not None
         assert spec.alpha == pytest.approx(1e-6)
+
+    def test_old_record_with_retired_fields_loads(self, tmp_path):
+        # A record written before the shared-memory reduction path was
+        # removed still carries its two fitted constants; it must load
+        # with the same communication figures.
+        import json
+
+        from repro.perf.calibrate import load_calibration
+
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "cluster": {
+                "alpha": 3e-6, "beta": 2e-10, "contention": 0.05,
+                "cores_per_node": 2, "n_nodes": 1,
+                "shm_beta": 4e-11, "shm_setup": 1.5e-3,
+                "sync_overhead": 9e-6,
+            },
+            "work_model": {
+                "seconds_per_cell": 2e-8, "seconds_per_slice": 1e-6,
+            },
+        }))
+        spec = load_calibration(str(path))
+        assert spec == self._spec()
+        assert (spec.alpha, spec.beta, spec.sync_overhead) == (
+            3e-6, 2e-10, 9e-6,
+        )

@@ -6,11 +6,7 @@ import pytest
 
 from repro.check.sanitizer import SanitizedCommunicator
 from repro.errors import SimulationError
-from repro.runtime.context import (
-    ExecutionContext,
-    sanitize_communicator,
-    shared_memo,
-)
+from repro.runtime.context import ExecutionContext, sanitize_communicator
 from repro.runtime.plan import Planner
 from repro.structure.generators import contrived_worst_case
 
@@ -65,19 +61,6 @@ class TestOwnership:
         comm = ExecutionContext(sanitize=True).self_communicator()
         assert isinstance(comm, SanitizedCommunicator)
         assert sanitize_communicator(comm) is comm
-
-    def test_shared_memo_shape_and_clamp(self):
-        # Only the process backend backs memo tables with shared memory.
-        def rank_main(comm):
-            return (
-                shared_memo(comm, 4, 6).values.shape,
-                shared_memo(comm, 0, 0).values.shape,
-            )
-
-        results = ExecutionContext().launch(
-            rank_main, n_ranks=2, backend="process"
-        )
-        assert results == [((4, 6), (1, 1))] * 2
 
     def test_tracer_constructed_only_on_request(self):
         assert ExecutionContext().tracer is None

@@ -186,7 +186,7 @@ class TestPlanBatch:
 
 
 class TestScheduleChoice:
-    """sync auto, shared-memory crossover, and the calibration source."""
+    """sync auto and the calibration source."""
 
     def _sync_line(self, plan):
         lines = [r for r in plan.rationale if r.startswith("sync auto ->")]
@@ -231,35 +231,45 @@ class TestScheduleChoice:
         )
         assert plan.sync_mode == "row"
 
-    def test_dataflow_turns_shared_memory_off(self, planner, large):
-        plan = planner.plan(
-            large, large, algorithm="prna", n_ranks=4,
-            backend="process", sync_mode="dataflow",
-        )
-        assert plan.shared_memory is False
-        assert any(
-            "shared memory off" in r and "point-to-point" in r
-            for r in plan.rationale
-        )
 
-    def test_row_mode_prices_the_shm_crossover(self, planner, large):
-        plan = planner.plan(
-            large, large, algorithm="prna", n_ranks=4,
-            backend="process", sync_mode="row",
-        )
-        assert isinstance(plan.shared_memory, bool)
-        assert any(
-            r.startswith("shared-memory rows") and "vs pipe" in r
-            for r in plan.rationale
-        )
 
-    def test_caller_shared_memory_respected(self, planner, large):
-        plan = planner.plan(
-            large, large, algorithm="prna", n_ranks=4,
-            backend="process", sync_mode="row", shared_memory=False,
+class TestExplainSchedule:
+    """explain() describes the schedule that runs, in the sync line only."""
+
+    @pytest.fixture(autouse=True)
+    def built_in_cluster(self, monkeypatch, tmp_path):
+        # Price with the built-in spec, not a host's CALIBRATION.json.
+        monkeypatch.setenv("REPRO_CALIBRATION", str(tmp_path / "none.json"))
+
+    def _plans(self, planner, large, small):
+        return {
+            "auto": planner.plan(large, large),
+            "row": planner.plan(
+                large, large, algorithm="prna", n_ranks=2,
+                backend="process", sync_mode="row",
+            ),
+            "srna2": planner.plan(small, small),
+        }
+
+    def test_allreduce_named_only_for_row_sync(self, planner, large, small):
+        plans = self._plans(planner, large, small)
+        assert plans["auto"].algorithm == "prna"
+        assert plans["auto"].sync_mode == "dataflow"
+        assert plans["srna2"].algorithm == "srna2"
+        for plan in plans.values():
+            text = plan.explain()
+            names_allreduce = "Allreduce" in text
+            assert names_allreduce == (
+                plan.algorithm == "prna" and plan.sync_mode == "row"
+            ), text
+            assert "shared-memory" not in text
+
+    def test_forced_sync_mode_is_stated(self, planner, large, small):
+        plan = self._plans(planner, large, small)["row"]
+        assert (
+            "sync 'row' requested by caller (one Allreduce per memo row)"
+            in plan.rationale
         )
-        assert plan.shared_memory is False
-        assert not any(r.startswith("shared-memory rows") for r in plan.rationale)
 
 
 class TestCalibrationSource:
