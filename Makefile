@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test perfbench-test bench bench-quick bench-smoke bench-dataflow calibrate experiments verify trace-demo sanitize-demo plan-demo lint check-protocol check-dataflow examples coverage clean
+.PHONY: install test perfbench-test bench bench-quick bench-smoke bench-dataflow calibrate experiments verify trace-demo sanitize-demo plan-demo lint check examples coverage clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -50,8 +50,8 @@ calibrate:
 experiments:
 	$(PYTHON) -m repro.experiments all --scale quick --json results.json
 
-# Static analysis: ruff + mypy when installed (pip install -e '.[lint]'),
-# plus the in-tree SPMD checker, which has no dependencies and always runs.
+# Style and type lint: ruff + mypy when installed (pip install -e
+# '.[lint]').  The in-tree SPMD checker runs in `make check`.
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests; \
@@ -59,20 +59,14 @@ lint:
 	@if command -v mypy >/dev/null 2>&1; then \
 		mypy src/repro; \
 	else echo "lint: mypy not installed, skipping (pip install -e '.[lint]')"; fi
+
+# Static analysis, one pass: ARCH001, the rank-symbolic protocol
+# verifier and the interval/shape/dtype dataflow verifier plus the
+# cost-contract audit must prove the shipped tree clean (exit 0).  The
+# cold/warm analyzer timing lands in BENCH_check.json so incremental-cache
+# regressions are visible (warm must be <5% of cold).
+check:
 	PYTHONPATH=src $(PYTHON) -m repro.check src/repro
-
-# Interprocedural protocol verification: the rank-symbolic schedule
-# analysis must prove the shipped tree deadlock-free (exit 0).
-check-protocol:
-	PYTHONPATH=src $(PYTHON) -m repro.check src/repro --protocol
-
-# Numeric dataflow verification: interval/shape/dtype abstract
-# interpretation plus the cost-contract audit must prove the shipped
-# tree clean (exit 0), and the cold/warm analyzer timing for both passes
-# lands in BENCH_check.json so incremental-cache regressions are visible
-# (warm must be <10% of cold).
-check-dataflow:
-	PYTHONPATH=src $(PYTHON) -m repro.check src/repro --protocol --dataflow
 	$(PYTHON) benchmarks/bench_check.py
 
 # Runtime-sanitizer transparency check: sanitized 2-rank PRNA on the
@@ -86,7 +80,7 @@ sanitize-demo:
 plan-demo:
 	PYTHONPATH=src $(PYTHON) -m repro.runtime.demo
 
-verify: lint perfbench-test check-protocol check-dataflow trace-demo bench-smoke bench-dataflow calibrate sanitize-demo plan-demo
+verify: lint perfbench-test check trace-demo bench-smoke bench-dataflow calibrate sanitize-demo plan-demo
 	PYTHONPATH=src $(PYTHON) -m repro.experiments verify
 
 # Tiny traced PRNA run: emits a Chrome trace (one track per rank),

@@ -1,16 +1,15 @@
 """Analyzer wall-time benchmark: cold vs warm-cache verifier runs.
 
 Writes ``BENCH_check.json`` at the repository root (override with
-``--out``).  The headline numbers are the **cold** wall time of a full
-``repro.check --protocol --dataflow`` pass over ``src/repro`` and the
-**warm** wall time of an immediate re-run against the content-hash cache
-on the unchanged tree.  The acceptance bar (and the regression this file
-makes visible) is ``warm < 0.05 * cold``: the warm path must serve the
-whole result — per-module, protocol, and dataflow findings — from the
-cache without parsing a single module.
+``--out``).  The headline numbers are the **cold** wall time of the full
+``repro.check`` pass over ``src/repro`` and the **warm** wall time of an
+immediate re-run against the content-hash cache on the unchanged tree.
+The acceptance bar (and the regression this file makes visible) is
+``warm < 0.05 * cold``: the warm path must serve the whole result from
+the cache without parsing a single module.
 
 Run directly (``python benchmarks/bench_check.py``) or via
-``make check-dataflow``.
+``make check``.
 """
 
 from __future__ import annotations
@@ -34,12 +33,9 @@ from repro.check.static import analyze_project  # noqa: E402
 WARM_RATIO_BAR = 0.05
 
 
-def _timed_run(paths: list[str], cache: CheckCache | None, *,
-               dataflow: bool = True):
+def _timed_run(paths: list[str], cache: CheckCache):
     start = time.perf_counter()
-    findings, n_files = analyze_project(
-        paths, protocol=True, dataflow=dataflow, cache=cache
-    )
+    findings, n_files = analyze_project(paths, cache=cache)
     elapsed = time.perf_counter() - start
     return elapsed, findings, n_files
 
@@ -57,12 +53,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
-        # Protocol-only cold pass first, so the dataflow pass's marginal
-        # cost is visible as cold_seconds - protocol_only_seconds.
-        proto_s, _, _ = _timed_run(
-            args.paths, CheckCache(os.path.join(tmp, "proto-cache.json")),
-            dataflow=False,
-        )
         cache = CheckCache(os.path.join(tmp, "check-cache.json"))
         cold_s, findings, n_files = _timed_run(args.paths, cache)
         warm_cache = CheckCache(cache.cache_path)  # re-read from disk
@@ -71,33 +61,23 @@ def main(argv: list[str] | None = None) -> int:
     consistent = [f.as_dict() for f in findings] == [
         f.as_dict() for f in warm_findings
     ]
-    interproc_findings = [
-        f.as_dict()
-        for f in findings
-        if f.rule.startswith(
-            ("SPMD1", "SPMD2", "SCHED", "BASE", "DTYPE", "SHAPE", "COST")
-        )
-    ]
     payload = {
-        "benchmark": "repro.check --protocol --dataflow analyzer wall time",
+        "benchmark": "repro.check analyzer wall time",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "checked_files": n_files,
         "cold_seconds": round(cold_s, 4),
         "warm_seconds": round(warm_s, 4),
         "warm_over_cold": round(warm_s / cold_s, 4) if cold_s else None,
-        "protocol_only_seconds": round(proto_s, 4),
-        "dataflow_marginal_seconds": round(max(cold_s - proto_s, 0.0), 4),
         "warm_cache_ok": consistent,
         "findings": len(findings),
-        "interprocedural_findings": interproc_findings,
     }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
     print(
-        f"bench_check: cold {cold_s:.3f}s (protocol-only {proto_s:.3f}s), "
-        f"warm {warm_s:.3f}s (ratio {payload['warm_over_cold']}), "
+        f"bench_check: cold {cold_s:.3f}s, warm {warm_s:.3f}s "
+        f"(ratio {payload['warm_over_cold']}), "
         f"{n_files} files, {len(findings)} finding(s) -> {args.out}"
     )
     if not consistent:

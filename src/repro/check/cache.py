@@ -1,29 +1,20 @@
 """Incremental findings cache for the static pass.
 
-Real analyzers are run on every save; the protocol pass is whole-program
-and therefore super-linear in tree size, so re-running it on an unchanged
-tree has to be near-free.  The cache stores, per analyzed file, the
-SHA-256 of its contents plus the findings produced for it, and — because
-per-file findings now depend on *project-wide* facts (cross-module
-constants for SPMD002) — a **project signature** hashing those facts.  A per-file entry is reused only when
-both its content hash and the project signature match.
+Real analyzers are run on every save; the protocol and dataflow passes
+are whole-program and therefore super-linear in tree size, so re-running
+them on an unchanged tree has to be near-free.  Every finding is a
+whole-program result, so the cache holds one findings list keyed by the
+**tree hash**: a digest of every file's path and SHA-256 content hash
+plus the rule-set version (:data:`repro.check.findings.RULESET_VERSION`,
+a content hash of the rule catalog, so changing the catalog invalidates
+stale entries with no manual bump).  When every file's hash is
+unchanged, :meth:`CheckCache.lookup_tree` returns the complete cached
+result without parsing a single module, which is what makes the warm
+re-run an order of magnitude cheaper than the cold one (the acceptance
+bar in ``BENCH_check.json``); any edit re-runs the whole pass.
 
-Protocol and dataflow findings are whole-program by construction, so they
-are keyed by the **tree hash** (hash of every file's content hash plus
-the analysis flags — which fold in the enabled rule-set version,
-:data:`repro.check.findings.RULESET_VERSION`, so toggling ``--dataflow``
-or changing the rule catalog invalidates stale entries).  The fast path:
-when every file's hash is unchanged, :meth:`CheckCache.lookup_tree`
-returns the complete cached result — per-file and protocol findings —
-without parsing a single module, which is what makes the warm re-run an
-order of magnitude cheaper than the cold one (the acceptance bar in
-``BENCH_check.json``).
-
-The cache file is JSON under ``.repro-check-cache.json`` next to the
-tree being analyzed (or an explicit ``--cache PATH``); a version bump in
-:data:`CACHE_VERSION` invalidates old caches wholesale.  Rule catalog
-changes need no manual bump: the catalog's content hash is part of both
-the tree flags and the project signature.
+The cache is one JSON file at the ``--cache PATH`` the caller names; a
+version bump in :data:`CACHE_VERSION` invalidates old caches wholesale.
 """
 
 from __future__ import annotations
@@ -34,131 +25,46 @@ import os
 
 from repro.check.findings import RULESET_VERSION, Finding
 
-__all__ = ["CheckCache", "file_sha", "CACHE_VERSION"]
+__all__ = ["CheckCache", "CACHE_VERSION"]
 
-CACHE_VERSION = 2
-
-DEFAULT_CACHE_NAME = ".repro-check-cache.json"
-
-
-def file_sha(data: bytes) -> str:
-    """SHA-256 hex digest of one file's raw bytes (the cache key)."""
-    return hashlib.sha256(data).hexdigest()
-
-
-def _findings_to_json(findings: list[Finding]) -> list[dict]:
-    return [finding.as_dict() for finding in findings]
-
-
-def _findings_from_json(items: list[dict]) -> list[Finding]:
-    return [Finding(**item) for item in items]
+CACHE_VERSION = 3
 
 
 class CheckCache:
-    """Content-hash-keyed findings cache with a whole-tree fast path."""
+    """Findings cache keyed by a hash over the whole analyzed tree."""
 
     def __init__(self, cache_path: str):
         self.cache_path = cache_path
         self._data = self._load()
-        self.hits = 0
-        self.misses = 0
 
     def _load(self) -> dict:
         try:
             with open(self.cache_path, encoding="utf-8") as handle:
                 data = json.load(handle)
         except (OSError, ValueError):
-            return self._empty()
-        if data.get("version") != CACHE_VERSION:
-            return self._empty()
+            return {}
+        if not isinstance(data, dict) or data.get("version") != CACHE_VERSION:
+            return {}
         return data
 
     @staticmethod
-    def _empty() -> dict:
-        return {
-            "version": CACHE_VERSION,
-            "project_sig": None,
-            "tree_sha": None,
-            "files": {},
-            "protocol": [],
-            "dataflow": [],
-        }
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def project_signature(index) -> str:
-        """Hash of the interprocedural facts per-file findings depend on."""
+    def tree_sha(shas: dict[str, str]) -> str:
+        """One digest over every (path, sha) pair plus the rule set."""
         digest = hashlib.sha256()
-        digest.update(f"rules:{RULESET_VERSION};".encode())
-        for path in sorted(index.modules):
-            info = index.modules[path]
-            digest.update(info.name.encode())
-            for name in sorted(info.constants):
-                digest.update(f"{name}={info.constants[name]};".encode())
-        return digest.hexdigest()
-
-    @staticmethod
-    def tree_sha(shas: dict[str, str], flags: str = "") -> str:
-        """One digest over every (path, sha) pair plus analysis flags."""
-        digest = hashlib.sha256()
-        digest.update(flags.encode())
+        digest.update(f"rules:{RULESET_VERSION}".encode())
         for path in sorted(shas):
             digest.update(path.encode())
             digest.update(shas[path].encode())
         return digest.hexdigest()
 
-    # ------------------------------------------------------------------
-    def lookup_tree(self, shas: dict[str, str], flags: str = ""):
-        """Complete cached result when *nothing* changed, else ``None``.
+    def lookup_tree(self, shas: dict[str, str]) -> list[Finding] | None:
+        """The cached findings when *nothing* changed, else ``None``."""
+        if self._data.get("tree_sha") != self.tree_sha(shas):
+            return None
+        return [Finding(**item) for item in self._data.get("findings", [])]
 
-        Returns ``(per_file_findings, protocol_findings,
-        dataflow_findings)`` without requiring a parse of any module.
-        *flags* folds analysis-mode switches (``--protocol``,
-        ``--dataflow``) and the rule-set version into the key, so a cache
-        written without a pass — or against an older rule catalog — never
-        satisfies a run that wants it.
-        """
-        if self._data.get("tree_sha") != self.tree_sha(shas, flags):
-            return None
-        cached_files = self._data.get("files", {})
-        if set(cached_files) != set(shas):
-            return None
-        per_file: list[Finding] = []
-        for path, sha in shas.items():
-            entry = cached_files.get(path)
-            if entry is None or entry.get("sha") != sha:
-                return None
-            per_file.extend(_findings_from_json(entry.get("findings", [])))
-        protocol = _findings_from_json(self._data.get("protocol", []))
-        dataflow = _findings_from_json(self._data.get("dataflow", []))
-        self.hits += len(shas)
-        return per_file, protocol, dataflow
-
-    def lookup_file(
-        self, path: str, sha: str, project_sig: str
-    ) -> list[Finding] | None:
-        """Cached per-file findings when the file and project match."""
-        if self._data.get("project_sig") != project_sig:
-            self.misses += 1
-            return None
-        entry = self._data.get("files", {}).get(path)
-        if entry is None or entry.get("sha") != sha:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return _findings_from_json(entry.get("findings", []))
-
-    # ------------------------------------------------------------------
-    def store(
-        self,
-        shas: dict[str, str],
-        project_sig: str,
-        per_file: dict[str, list[Finding]],
-        protocol: list[Finding],
-        flags: str = "",
-        dataflow_findings: list[Finding] | None = None,
-    ) -> None:
-        """Persist this run's findings keyed by content hashes.
+    def store(self, shas: dict[str, str], findings: list[Finding]) -> None:
+        """Persist this run's findings keyed by the tree hash.
 
         Written atomically (tempfile + ``os.replace``); I/O failures are
         swallowed — the cache is an accelerator, never a correctness
@@ -166,17 +72,8 @@ class CheckCache:
         """
         self._data = {
             "version": CACHE_VERSION,
-            "project_sig": project_sig,
-            "tree_sha": self.tree_sha(shas, flags),
-            "files": {
-                path: {
-                    "sha": shas[path],
-                    "findings": _findings_to_json(per_file.get(path, [])),
-                }
-                for path in shas
-            },
-            "protocol": _findings_to_json(protocol),
-            "dataflow": _findings_to_json(dataflow_findings or []),
+            "tree_sha": self.tree_sha(shas),
+            "findings": [finding.as_dict() for finding in findings],
         }
         tmp = self.cache_path + ".tmp"
         try:

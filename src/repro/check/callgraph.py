@@ -9,10 +9,9 @@ interprocedural facts the rest of :mod:`repro.check` consumes:
   ``mod.helper(x)`` through ``import pkg.mod as mod``, and
   ``self.method(...)`` within a class;
 * a **project constant environment**: every module's ``NAME = <int>``
-  bindings (including ``AugAssign`` updates and tuple unpacking, which
-  the original SPMD002 folder silently widened to wildcard), importable
-  across modules so a tag constant defined in one file resolves in
-  another.
+  bindings (including ``AugAssign`` updates and tuple unpacking),
+  importable across modules so a tag constant defined in one file
+  resolves in another.
 
 The index is deliberately name-based (no type inference): calls on
 unknown receivers stay unresolved, which the protocol interpreter treats
@@ -27,7 +26,13 @@ import ast
 import os
 from dataclasses import dataclass, field
 
-__all__ = ["FunctionInfo", "ModuleInfo", "ProjectIndex", "module_name_of"]
+__all__ = [
+    "FunctionInfo",
+    "ModuleInfo",
+    "ProjectIndex",
+    "declaration_site",
+    "module_name_of",
+]
 
 
 def module_name_of(path: str) -> str:
@@ -222,16 +227,23 @@ class ProjectIndex:
         return None
 
     def entry_points(self) -> list[FunctionInfo]:
-        """Module-level functions taking a parameter named ``comm``.
+        """Functions and methods taking a parameter named ``comm``.
 
         The SPMD convention throughout the tree: a rank body receives the
         abstract communicator as a parameter literally named ``comm``.
         """
         return [
-            info
-            for info in self.functions.values()
-            if info.class_name is None and "comm" in info.params
+            info for info in self.functions.values() if "comm" in info.params
         ]
+
+    def registry_module(self) -> ModuleInfo | None:
+        """The analyzed ``repro.runtime.registry`` module, if present."""
+        for info in self.modules.values():
+            if info.name.endswith("runtime.registry") or info.path.replace(
+                "\\", "/"
+            ).endswith("runtime/registry.py"):
+                return info
+        return None
 
     # ------------------------------------------------------------------
     def resolve_call(
@@ -299,6 +311,20 @@ class ProjectIndex:
             if target is not None and leaf in target.constants:
                 env[local] = target.constants[leaf]
         return env
+
+
+def declaration_site(module: ModuleInfo | None, key: str) -> tuple[str, int]:
+    """``(path, line)`` of the first line of *module* quoting *key*."""
+    if module is None:
+        return ("<declarations>", 1)
+    try:
+        with open(module.path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                if f'"{key}"' in line or f"'{key}'" in line:
+                    return (module.path, lineno)
+    except OSError:  # pragma: no cover - racing file removal
+        pass
+    return (module.path, 1)
 
 
 def _dotted_suffixes(name: str) -> list[str]:

@@ -1,6 +1,6 @@
 """Static cost extraction: loop-nest/vector-op degree of each kernel.
 
-The COST0xx half of the ``--dataflow`` pass.  The planner's
+The COST0xx half of the numeric dataflow pass.  The planner's
 :class:`~repro.perf.model.WorkModel` prices stage one as
 ``seconds_per_cell * rows * cols`` — every per-slice engine is assumed
 **degree 2** in the slice dimensions.  :class:`~repro.runtime.registry.
@@ -42,7 +42,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from repro.check.callgraph import FunctionInfo, ProjectIndex
+from repro.check.callgraph import FunctionInfo, ProjectIndex, declaration_site
+from repro.check.dataflow import _np_func
 from repro.check.findings import Finding
 
 __all__ = ["analyze_costs", "extract_degree", "DegreeWitness"]
@@ -83,8 +84,6 @@ _RANK_PRESERVING = frozenset(
     }
 )
 
-_NUMPY_ROOTS = ("np", "numpy")
-
 
 @dataclass(frozen=True)
 class DegreeWitness:
@@ -93,17 +92,6 @@ class DegreeWitness:
     degree: int
     line: int
     detail: str
-
-
-def _np_func(call: ast.Call) -> str | None:
-    parts: list[str] = []
-    node: ast.expr = call.func
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name) and node.id in _NUMPY_ROOTS:
-        return ".".join(reversed(parts))
-    return None
 
 
 def _is_constant_range(call: ast.Call) -> bool:
@@ -370,28 +358,6 @@ def extract_degree(
 # ----------------------------------------------------------------------
 # Contract audit (COST001/COST002)
 # ----------------------------------------------------------------------
-def _find_registry_module(index: ProjectIndex):
-    for info in index.modules.values():
-        if info.name.endswith("runtime.registry") or info.path.replace(
-            "\\", "/"
-        ).endswith("runtime/registry.py"):
-            return info
-    return None
-
-
-def _declaration_site(registry_module, key: str) -> tuple[str, int]:
-    if registry_module is None:
-        return ("<declarations>", 1)
-    try:
-        with open(registry_module.path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if f'"{key}"' in line or f"'{key}'" in line:
-                    return (registry_module.path, lineno)
-    except OSError:  # pragma: no cover - racing file removal
-        pass
-    return (registry_module.path, 1)
-
-
 def _resolve_entry(
     index: ProjectIndex, entry: str
 ) -> FunctionInfo | None:
@@ -429,7 +395,7 @@ def analyze_costs(
     is part of the analyzed tree** — checking an unrelated snippet must
     not drag the shipped contracts in.
     """
-    registry_module = _find_registry_module(index)
+    registry_module = index.registry_module()
     engine_names: tuple[str, ...] = ()
     if declarations is None:
         if registry_module is None:
@@ -444,7 +410,7 @@ def analyze_costs(
     declared_keys = {contract.key for contract in declarations}
     for engine in engine_names:
         if f"engine:{engine}" not in declared_keys:
-            path, line = _declaration_site(registry_module, "ENGINE_NAMES")
+            path, line = declaration_site(registry_module, "ENGINE_NAMES")
             findings.append(
                 Finding(
                     "COST002", path, line, 0,
@@ -457,7 +423,7 @@ def analyze_costs(
     for contract in declarations:
         info = _resolve_entry(index, contract.entry)
         if info is None:
-            path, line = _declaration_site(registry_module, contract.key)
+            path, line = declaration_site(registry_module, contract.key)
             findings.append(
                 Finding(
                     "COST002", path, line, 0,

@@ -1,9 +1,9 @@
 """Numeric dataflow verifier: interval/shape/dtype abstract interpretation.
 
-The second interprocedural pass of ``repro.check`` (sibling of
-:mod:`repro.check.protocol`, enabled with ``--dataflow``).  Where the
+The numeric pass of ``repro.check`` (sibling of
+:mod:`repro.check.protocol`; both run on every check).  Where the
 protocol pass proves communication schedules agree, this pass proves
-numeric facts about the **kernels**: it interprets each target function
+numeric facts about the **kernels**: it interprets each function
 over abstract values combining
 
 * the integer interval lattice (:mod:`repro.check.intervals`) for value
@@ -21,7 +21,7 @@ known bound, a known constant extent, or a same-root offset mismatch):
   :data:`repro.runtime.registry.INPUT_BOUNDS` the segmented prefix-max
   lift provably exceeds every narrow dtype's range
   (:func:`repro.check.intervals.lift_bound`); this is the semantic
-  replacement for the lexical SPMD004 smell.
+  replacement for the retired lexical SPMD004 smell.
 * **DTYPE102** — a shifted/packed value whose interval provably exceeds
   the word width of the integer array it is stored into.
 * **DTYPE103** — a provably lossy narrowing cast or store (``astype``
@@ -35,11 +35,7 @@ known bound, a known constant extent, or a same-root offset mismatch):
 * **SHAPE103** — a gather/scatter index map provably mismatched with its
   source or destination (``dest[idx] = src``, ``np.take(..., out=)``).
 
-Analysis targets: every function in the numeric substrate modules
-(``core/slices``, ``core/memo``, ``repro/mpi/*``), any function whose
-name marks it as a kernel by convention (``tabulate_*``, ``pack_*``,
-``lift_*``, ``_segmented_*``), plus any entry named by a registered
-:class:`~repro.runtime.registry.CostContract`.  Everything the
+Every function in the analyzed tree is interpreted.  Everything the
 abstraction cannot relate stays silent — top never proves anything.
 """
 
@@ -70,12 +66,6 @@ from repro.check.shapes import (
 )
 
 __all__ = ["analyze_dataflow", "AValue"]
-
-#: Path fragments marking the numeric substrate (always analyzed).
-_SUBSTRATE_PATH_PARTS = ("core/slices", "core/memo", "/mpi/")
-
-#: Function-name prefixes marking kernels by convention.
-_TARGET_NAME_PREFIXES = ("tabulate_", "pack_", "lift_", "_segmented_")
 
 #: Callees that feed the segmented prefix-max lift (DTYPE101 sinks).
 _LIFT_SINK_PREFIXES = ("tabulate_slice", "tabulate_slices",
@@ -1074,31 +1064,15 @@ class _FunctionInterpreter:
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
-def _is_target(info, targets) -> bool:
-    if targets is not None:
-        return info.qualname in targets or info.node.name in targets
-    norm = info.path.replace("\\", "/")
-    if any(part in norm for part in _SUBSTRATE_PATH_PARTS):
-        return True
-    return any(
-        info.node.name.startswith(prefix)
-        for prefix in _TARGET_NAME_PREFIXES
-    )
-
-
 def analyze_dataflow(
     modules: dict[str, ast.Module],
     *,
     index=None,
-    targets=None,
     bounds: dict[str, int] | None = None,
 ) -> list[Finding]:
-    """Run the numeric dataflow pass over parsed *modules*.
+    """Run the numeric dataflow pass over every function in *modules*.
 
-    *targets* restricts analysis to functions whose qualified or bare
-    name appears in it (tests); by default the substrate modules and
-    conventionally named kernels are analyzed.  *bounds* overrides the
-    registry's declared input bounds.
+    *bounds* overrides the registry's declared input bounds.
     """
     if index is None:
         from repro.check.callgraph import ProjectIndex
@@ -1108,20 +1082,9 @@ def analyze_dataflow(
     findings: list[Finding] = []
     for qualname in sorted(index.functions):
         info = index.functions[qualname]
-        if not _is_target(info, targets):
-            continue
         module = index.modules.get(info.path)
         constants = module.constants if module is not None else {}
         _FunctionInterpreter(
             info, info.path, findings, bounds, constants
         ).run()
-    deduped: list[Finding] = []
-    seen: set[tuple] = set()
-    for finding in sorted(
-        findings, key=lambda f: (f.path, f.line, f.col, f.rule)
-    ):
-        key = (finding.rule, finding.path, finding.line, finding.col)
-        if key not in seen:
-            seen.add(key)
-            deduped.append(finding)
-    return deduped
+    return findings

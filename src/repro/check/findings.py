@@ -24,12 +24,14 @@ __all__ = [
 #: Static rule catalog: ID -> one-line summary.
 RULES: dict[str, str] = {
     "SPMD001": (
-        "collective call under rank-dependent control flow (a rank that "
-        "skips a collective deadlocks every peer)"
+        "deprecated alias of SPMD101 — the retired lexical rule for a "
+        "collective under rank-dependent control flow; kept so existing "
+        "'# noqa: SPMD001' comments stay effective"
     ),
     "SPMD002": (
-        "send with a constant tag that no receive in this module matches "
-        "(the receiver will block forever)"
+        "deprecated alias of SPMD201 — the retired lexical rule for a "
+        "send tag no receive in its module matches; kept so existing "
+        "'# noqa: SPMD002' comments stay effective"
     ),
     "SPMD004": (
         "deprecated alias of DTYPE101 — narrow integer dtype flows into a "
@@ -130,6 +132,8 @@ RULES: dict[str, str] = {
 #: never emitted, but its ``# noqa`` token still suppresses the canonical
 #: rule, and ``--list-rules`` marks it.
 DEPRECATED_RULES: dict[str, str] = {
+    "SPMD001": "SPMD101",
+    "SPMD002": "SPMD201",
     "SPMD004": "DTYPE101",
 }
 

@@ -4,7 +4,7 @@ This is the static counterpart of the runtime sanitizer: where
 ``SanitizedCommunicator`` catches SAN101/SAN103 divergence as it happens,
 this pass *proves or refutes* schedule agreement before the code runs.
 
-For every SPMD entry point (module-level functions taking a ``comm``
+For every SPMD entry point (functions and methods taking a ``comm``
 parameter, the pipe ``Allreduce`` protocol in :mod:`repro.mpi.process`,
 and any executor entry declared in :mod:`repro.runtime.registry`) the
 analyzer interprets the body once per abstract rank (``rank == 0`` and a
@@ -30,7 +30,7 @@ Rule families over the schedules:
   ``SPMD201``/``SPMD202`` for constant send/recv tags with no matching
   peer anywhere in the analyzed program, with cross-module constant
   resolution.  One unresolvable receive tag anywhere makes the pool
-  wildcard (conservative, same stance as SPMD002's module rule).
+  wildcard (conservative).
 * **SCHED0xx — dependency-schedule legality**: each executor schedule
   declared in the registry is checked against the recurrence's actual
   ``d1``/``d2`` dependency structure (via
@@ -47,7 +47,12 @@ from __future__ import annotations
 
 import ast
 
-from repro.check.callgraph import FunctionInfo, ModuleInfo, ProjectIndex
+from repro.check.callgraph import (
+    FunctionInfo,
+    ModuleInfo,
+    ProjectIndex,
+    declaration_site,
+)
 from repro.check.findings import Finding
 from repro.check.lattice import (
     ABSTRACT_RANKS,
@@ -66,18 +71,9 @@ from repro.check.lattice import (
     collective_view,
     decide_condition,
     first_difference,
+    is_rank_name,
     iter_events,
     render_value,
-)
-from repro.check.rules import (
-    COLLECTIVES,
-    _NON_COMM_ROOTS,
-    _RECV_METHODS,
-    _SEND_METHODS,
-    _mentions_rank,
-    _receiver_root,
-    _resolve_tag,
-    _tag_node,
 )
 
 __all__ = ["analyze_protocol", "extract_schedules", "check_declared_schedules"]
@@ -87,6 +83,30 @@ __all__ = ["analyze_protocol", "extract_schedules", "check_declared_schedules"]
 _METHOD_ENTRIES = ("ProcessCommunicator.Allreduce",)
 
 _MAX_INLINE_DEPTH = 24
+
+#: Communicator methods every rank must reach in the same order.
+COLLECTIVES = frozenset(
+    {
+        "barrier",
+        "bcast",
+        "allreduce",
+        "Allreduce",
+        "allgather",
+        "gather",
+        "scatter",
+        "reduce",
+    }
+)
+
+#: Receiver roots whose methods merely *look* like collectives
+#: (``np.maximum.reduce``, ``functools.reduce``, ...).
+_NON_COMM_ROOTS = frozenset(
+    {"np", "numpy", "functools", "operator", "itertools", "math"}
+)
+
+#: Point-to-point method -> positional index of its ``tag`` argument.
+_SEND_METHODS = {"send": 2, "isend": 2, "_send": 2}
+_RECV_METHODS = {"recv": 1, "irecv": 1, "_recv": 1, "_try_recv": 1}
 
 #: Collective keywords whose values must agree across ranks.
 _UNIFORM_META_KEYS = ("root", "op")
@@ -265,8 +285,13 @@ class _Interpreter:
         return None
 
     def _walk_if(
-        self, stmt: ast.If, state: _FrameState, out: Schedule
+        self, stmt: ast.If | ast.IfExp, state: _FrameState, out: Schedule
     ) -> str | None:
+        """An ``if`` statement, or a conditional expression whose test
+        is rank-tainted (``x = comm.gather(1) if rank else None``)."""
+        walk = (
+            self._walk_body if isinstance(stmt, ast.If) else self._walk_expr
+        )
         self._walk_expr(stmt.test, state, out)
         tainted = frozenset(state.tainted)
         decision = decide_condition(stmt.test, self.rank, state.env, tainted)
@@ -274,11 +299,11 @@ class _Interpreter:
         if rank_related and decision is not None:
             # Feasible-path selection: this abstract rank takes one arm.
             arm = stmt.body if decision else stmt.orelse
-            return self._walk_body(arm, state, out)
+            return walk(arm, state, out)
         then = Schedule()
         orelse = Schedule()
-        status_then = self._walk_body(stmt.body, state, then)
-        status_else = self._walk_body(stmt.orelse, state, orelse)
+        status_then = walk(stmt.body, state, then)
+        status_else = walk(stmt.orelse, state, orelse)
         if then or orelse:
             out.append(
                 Branch(
@@ -331,9 +356,29 @@ class _Interpreter:
     def _walk_expr(
         self, expr: ast.expr, state: _FrameState, out: Schedule
     ) -> None:
-        """Emit events for every call inside *expr*, in source order."""
-        for node in _calls_in_order(expr):
-            self._handle_call(node, state, out)
+        """Emit events for every call inside *expr*, in source order.
+
+        A conditional expression with a rank-tainted test becomes a
+        branch, exactly like the equivalent ``if`` statement.
+        """
+        nodes: list[ast.Call | ast.IfExp] = []
+        pending: list[ast.AST] = [expr]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, ast.IfExp) and self._rank_tainted(
+                node.test, state
+            ):
+                nodes.append(node)
+                continue
+            if isinstance(node, ast.Call):
+                nodes.append(node)
+            pending.extend(ast.iter_child_nodes(node))
+        nodes.sort(key=lambda n: (n.lineno, n.col_offset))
+        for node in nodes:
+            if isinstance(node, ast.IfExp):
+                self._walk_if(node, state, out)
+            else:
+                self._handle_call(node, state, out)
 
     def _handle_call(
         self, call: ast.Call, state: _FrameState, out: Schedule
@@ -473,17 +518,59 @@ class _Interpreter:
         )
 
 
+def _mentions_rank(node: ast.AST) -> bool:
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and is_rank_name(sub.id):
+            return True
+        if isinstance(sub, ast.Attribute) and is_rank_name(sub.attr):
+            return True
+    return False
+
+
+def _receiver_root(node: ast.expr) -> str | None:
+    """Leftmost name of an attribute chain (``a.b.c`` -> ``a``)."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def _tag_node(call: ast.Call, positional_index: int) -> ast.expr | None:
+    for keyword in call.keywords:
+        if keyword.arg == "tag":
+            return keyword.value
+    if len(call.args) > positional_index:
+        return call.args[positional_index]
+    return None  # defaulted tag (0)
+
+
+def _resolve_tag(node: ast.expr | None, env: dict[str, int]):
+    """``("const", value)``, ``("expr", text)``, or ``("dynamic", None)``."""
+    if node is None:
+        return ("const", 0)
+    if isinstance(node, ast.Constant) and isinstance(node.value, int):
+        return ("const", node.value)
+    if isinstance(node, ast.Name) and node.id in env:
+        return ("const", env[node.id])
+    if isinstance(node, ast.Attribute) and node.attr in env:
+        return ("const", env[node.attr])
+    # Arithmetic over resolvable pieces keeps a stable text key; anything
+    # mentioning an unresolvable name is dynamic (matches everything on
+    # the receive side, is skipped on the send side).
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and sub.id not in env:
+            return ("dynamic", None)
+        if isinstance(sub, ast.Call):
+            return ("dynamic", None)
+    return ("expr", ast.unparse(node))
+
+
 def _safe_unparse(node: ast.AST) -> str:
     try:
         return ast.unparse(node)
     except Exception:  # pragma: no cover - malformed synthetic nodes
         return "<expr>"
-
-
-def _calls_in_order(expr: ast.expr) -> list[ast.Call]:
-    calls = [node for node in ast.walk(expr) if isinstance(node, ast.Call)]
-    calls.sort(key=lambda c: (c.lineno, c.col_offset))
-    return calls
 
 
 def _bind_args(target: FunctionInfo, call: ast.Call):
@@ -559,7 +646,7 @@ def analyze_protocol(
         findings.extend(_check_rank_dep_loops(per_rank))
     findings.extend(_check_tag_pool(schedules))
     findings.extend(_check_declared_in_tree(index, declarations))
-    return _dedupe(findings)
+    return findings
 
 
 # -- SPMD101/SPMD102: collective agreement ------------------------------
@@ -808,13 +895,7 @@ def _verdict_of(decl, arc_dependency_pairs, from_dotbracket):
 
 
 def _check_declared_in_tree(index: ProjectIndex, declarations) -> list[Finding]:
-    registry_module = None
-    for info in index.modules.values():
-        if info.name.endswith("runtime.registry") or info.path.replace(
-            "\\", "/"
-        ).endswith("runtime/registry.py"):
-            registry_module = info
-            break
+    registry_module = index.registry_module()
     if declarations is None:
         if registry_module is None:
             return []
@@ -832,32 +913,6 @@ def _check_declared_in_tree(index: ProjectIndex, declarations) -> list[Finding]:
     for decl, verdict, detail in check_declared_schedules(declarations):
         if verdict == "ok":
             continue
-        path, line = _declaration_site(registry_module, decl)
+        path, line = declaration_site(registry_module, decl.key)
         findings.append(Finding(verdict_rules[verdict], path, line, 0, detail))
     return findings
-
-
-def _declaration_site(registry_module, decl) -> tuple[str, int]:
-    if registry_module is None:
-        return ("<declarations>", 1)
-    try:
-        with open(registry_module.path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if f'"{decl.key}"' in line or f"'{decl.key}'" in line:
-                    return (registry_module.path, lineno)
-    except OSError:  # pragma: no cover - racing file removal
-        pass
-    return (registry_module.path, 1)
-
-
-def _dedupe(findings: list[Finding]) -> list[Finding]:
-    seen = set()
-    unique = []
-    for finding in findings:
-        key = (finding.rule, finding.path, finding.line, finding.col)
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(finding)
-    unique.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return unique

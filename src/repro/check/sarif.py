@@ -23,11 +23,9 @@ SARIF_SCHEMA = (
 
 TOOL_NAME = "repro-check"
 
-#: Rule families that indicate a proven protocol or numeric violation
-#: rather than a lexical smell; surfaced as SARIF ``error`` severity.
-#: DTYPE/SHAPE/COST findings are interval/shape *proofs* (or, for the
-#: lexical DTYPE101 form, a proof modulo aliasing), so they rank with
-#: the protocol verdicts.
+#: Rule families that indicate a proven protocol or numeric violation;
+#: surfaced as SARIF ``error`` severity.  The lexical ARCH001 layering
+#: rule and BASE001 ratchet bookkeeping stay ``warning``.
 _ERROR_PREFIXES = ("SPMD1", "SPMD2", "SCHED", "DTYPE", "SHAPE", "COST")
 
 

@@ -1,21 +1,22 @@
-"""Static-pass driver: walk files, run rules, filter ``# noqa``, report.
+"""Static-pass driver: walk files, run every rule, filter ``# noqa``, report.
 
 Used three ways, all sharing :func:`run_check`:
 
-* ``python -m repro.check [paths] [--protocol] [--sarif out.sarif] ...``
+* ``python -m repro.check [paths] [--sarif out.sarif] ...``
 * the ``repro-check`` console script
 * the ``repro-rna check`` subcommand
 
-The per-module rules (SPMD001-003, ARCH001, lexical DTYPE101) always
-run.  ``--protocol`` adds the interprocedural protocol verifier
+Every run is one whole-program pass over the parsed tree: ARCH001
+(:mod:`repro.check.rules`), the protocol verifier
 (:mod:`repro.check.protocol`: SPMD1xx collective agreement, SPMD2xx
-cross-module tag matching, SCHED0xx schedule legality).  ``--dataflow``
-adds the numeric dataflow verifier (:mod:`repro.check.dataflow` +
+cross-module tag matching, SCHED0xx schedule legality) and the numeric
+dataflow verifier (:mod:`repro.check.dataflow` +
 :mod:`repro.check.costs`: DTYPE1xx interval-proven overflows, SHAPE1xx
-shape/axis incompatibilities, COST0xx cost-contract audits).
-``--cache`` makes re-runs over an unchanged tree
-near-instant (content-hash keyed, :mod:`repro.check.cache`), ``--sarif``
-writes a SARIF 2.1.0 log for GitHub code scanning, and
+shape/axis incompatibilities, COST0xx cost-contract audits).  The
+findings are sorted, de-duplicated and ``# noqa``-filtered once, here.
+``--cache`` makes re-runs over an unchanged tree near-instant
+(content-hash keyed, :mod:`repro.check.cache`), ``--sarif`` writes a
+SARIF 2.1.0 log for GitHub code scanning, and
 ``--baseline``/``--update-baseline`` implement a ratchet: grandfathered
 findings are suppressed, *new* findings fail, and a baseline entry that
 no longer matches anything is itself a finding (BASE001) so the baseline
@@ -35,15 +36,12 @@ import sys
 from repro.check.findings import (
     DEPRECATED_RULES,
     RULES,
-    RULESET_VERSION,
     Finding,
     is_suppressed,
 )
-from repro.check.rules import analyze_module
 
 __all__ = [
     "analyze_source",
-    "analyze_paths",
     "analyze_project",
     "baseline_fingerprint",
     "run_check",
@@ -86,34 +84,67 @@ def _noqa_lines_for(
     return best
 
 
-def _filter_noqa(
-    findings: list[Finding], lines: list[str], tree: ast.Module
+def _finalize(
+    findings: list[Finding],
+    sources: dict[str, str],
+    trees: dict[str, ast.Module],
 ) -> list[Finding]:
-    extents = _statement_extents(tree)
-    kept = []
+    """Sort, drop repeats of one rule at one site, and apply ``# noqa``."""
+    findings = sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule))
+    files: dict[str, tuple[list[str], list[tuple[int, int]]]] = {}
+    kept: list[Finding] = []
+    seen: set[tuple] = set()
     for finding in findings:
-        lo, hi = _noqa_lines_for(finding.line, extents)
-        suppressed = any(
-            is_suppressed(finding.rule, lines[lineno - 1])
-            for lineno in range(lo, min(hi, len(lines)) + 1)
-            if lineno <= len(lines)
-        )
-        if not suppressed:
-            kept.append(finding)
+        key = (finding.rule, finding.path, finding.line, finding.col)
+        if key in seen:
+            continue
+        seen.add(key)
+        if finding.path in sources:
+            if finding.path not in files:
+                files[finding.path] = (
+                    sources[finding.path].splitlines(),
+                    _statement_extents(trees[finding.path]),
+                )
+            lines, extents = files[finding.path]
+            lo, hi = _noqa_lines_for(finding.line, extents)
+            if any(
+                is_suppressed(finding.rule, lines[lineno - 1])
+                for lineno in range(lo, min(hi, len(lines)) + 1)
+            ):
+                continue
+        kept.append(finding)
     return kept
 
 
-# ----------------------------------------------------------------------
-# Single-module analysis (tests, snippets)
-# ----------------------------------------------------------------------
+def _analyze_trees(
+    trees: dict[str, ast.Module], sources: dict[str, str]
+) -> list[Finding]:
+    """Every rule over the parsed *trees*, finalized."""
+    # Imported here: ``import repro`` loads this module (through the
+    # sanitizer) and should not pay for the analyzers.
+    from repro.check.callgraph import ProjectIndex
+    from repro.check.costs import analyze_costs
+    from repro.check.dataflow import analyze_dataflow
+    from repro.check.protocol import analyze_protocol
+    from repro.check.rules import check_architecture
+
+    index = ProjectIndex(trees)
+    findings: list[Finding] = []
+    for path, tree in trees.items():
+        findings.extend(check_architecture(tree, path))
+    findings.extend(analyze_protocol(trees, index=index))
+    findings.extend(analyze_dataflow(trees, index=index))
+    findings.extend(analyze_costs(index))
+    return _finalize(findings, sources, trees)
+
+
 def analyze_source(source: str, path: str = "<string>") -> list[Finding]:
-    """Run every per-module rule over one source, honouring ``# noqa``.
+    """Run the full pass over one module, honouring ``# noqa``.
 
     Raises :class:`SyntaxError` if *source* does not parse.
     """
     tree = ast.parse(source, filename=path)
-    lines = source.splitlines()
-    return _filter_noqa(analyze_module(tree, path), lines, tree)
+    return _analyze_trees({path: tree}, {path: source})
 
 
 def _python_files(paths: list[str]) -> list[str]:
@@ -136,23 +167,12 @@ def _python_files(paths: list[str]) -> list[str]:
     return files
 
 
-# ----------------------------------------------------------------------
-# Whole-tree analysis (project context, protocol pass, cache)
-# ----------------------------------------------------------------------
 def analyze_project(
-    paths: list[str],
-    *,
-    protocol: bool = False,
-    dataflow: bool = False,
-    cache=None,
+    paths: list[str], *, cache=None
 ) -> tuple[list[Finding], int]:
-    """All findings under *paths* with full project context.
+    """All findings under *paths* plus the file count.
 
-    Per-module rules run with cross-module constants (SPMD002);
-    *protocol* adds the
-    interprocedural SPMD1xx/SPMD2xx/SCHED0xx families; *dataflow* adds
-    the numeric DTYPE1xx/SHAPE1xx/COST0xx families.  *cache* is an
-    optional :class:`repro.check.cache.CheckCache`.
+    *cache* is an optional :class:`repro.check.cache.CheckCache`.
     """
     files = _python_files(paths)
     sources: dict[str, str] = {}
@@ -162,112 +182,18 @@ def analyze_project(
             data = handle.read()
         shas[filename] = hashlib.sha256(data).hexdigest()
         sources[filename] = data.decode("utf-8")
-
-    # The enabled-rule-set version is part of the cache key: toggling a
-    # pass or changing the catalog must never replay stale verdicts.
-    flags = (
-        f"rules:{RULESET_VERSION}|protocol:{int(protocol)}"
-        f"|dataflow:{int(dataflow)}"
-    )
     if cache is not None:
-        hit = cache.lookup_tree(shas, flags)
-        if hit is not None:
-            per_file, proto, flow = hit
-            findings = per_file + proto + flow
-            findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-            return findings, len(files)
-
-    trees: dict[str, ast.Module] = {}
-    for filename in files:
-        trees[filename] = ast.parse(sources[filename], filename=filename)
-
-    from repro.check.callgraph import ProjectIndex
-
-    index = ProjectIndex(trees)
-    project_sig = None
-    if cache is not None:
-        from repro.check.cache import CheckCache
-
-        project_sig = CheckCache.project_signature(index)
-
-    per_file: dict[str, list[Finding]] = {}
-    for filename in files:
-        cached = None
-        if cache is not None:
-            cached = cache.lookup_file(filename, shas[filename], project_sig)
+        cached = cache.lookup_tree(shas)
         if cached is not None:
-            per_file[filename] = cached
-            continue
-        module = index.modules[filename]
-        raw = analyze_module(
-            trees[filename],
-            filename,
-            extra_constants=index.constant_env(module),
-        )
-        per_file[filename] = _filter_noqa(
-            raw, sources[filename].splitlines(), trees[filename]
-        )
-
-    proto_findings: list[Finding] = []
-    if protocol:
-        from repro.check.protocol import analyze_protocol
-
-        raw_proto = analyze_protocol(trees, index=index)
-        for finding in raw_proto:
-            if finding.path in sources:
-                lines = sources[finding.path].splitlines()
-                kept = _filter_noqa([finding], lines, trees[finding.path])
-                proto_findings.extend(kept)
-            else:
-                proto_findings.append(finding)
-
-    flow_findings: list[Finding] = []
-    if dataflow:
-        from repro.check.costs import analyze_costs
-        from repro.check.dataflow import analyze_dataflow
-
-        raw_flow = analyze_dataflow(trees, index=index)
-        raw_flow += analyze_costs(index)
-        # The lexical dtype rule and the dataflow pass can both prove the
-        # same DTYPE101 at the same call site; keep the per-file copy.
-        seen = {
-            (f.rule, f.path, f.line, f.col)
-            for fs in per_file.values()
-            for f in fs
-        }
-        for finding in raw_flow:
-            if (finding.rule, finding.path, finding.line,
-                    finding.col) in seen:
-                continue
-            if finding.path in sources:
-                lines = sources[finding.path].splitlines()
-                kept = _filter_noqa([finding], lines, trees[finding.path])
-                flow_findings.extend(kept)
-            else:
-                flow_findings.append(finding)
-
+            return cached, len(files)
+    trees = {
+        filename: ast.parse(sources[filename], filename=filename)
+        for filename in files
+    }
+    findings = _analyze_trees(trees, sources)
     if cache is not None:
-        cache.store(
-            shas, project_sig, per_file, proto_findings, flags,
-            dataflow_findings=flow_findings,
-        )
-
-    findings = (
-        [f for fs in per_file.values() for f in fs]
-        + proto_findings
-        + flow_findings
-    )
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+        cache.store(shas, findings)
     return findings, len(files)
-
-
-def analyze_paths(paths: list[str]) -> tuple[list[Finding], int]:
-    """All per-module findings under *paths* plus the file count.
-
-    Kept as the simple entry point (no protocol pass, no cache); project
-    context is still applied so cross-module tags resolve.
-    """
-    return analyze_project(paths)
 
 
 # ----------------------------------------------------------------------
@@ -366,8 +292,6 @@ def run_check(
     *,
     json_output: bool = False,
     stream=None,
-    protocol: bool = False,
-    dataflow: bool = False,
     sarif_path: str | None = None,
     baseline_path: str | None = None,
     update_baseline: bool = False,
@@ -382,9 +306,7 @@ def run_check(
 
         cache = CheckCache(cache_path)
     try:
-        findings, n_files = analyze_project(
-            paths, protocol=protocol, dataflow=dataflow, cache=cache
-        )
+        findings, n_files = analyze_project(paths, cache=cache)
     except FileNotFoundError as exc:
         print(f"repro.check: no such path: {exc}", file=sys.stderr)
         return 2
@@ -421,22 +343,16 @@ def run_check(
         payload = {
             "version": 1,
             "checked_files": n_files,
-            "protocol": protocol,
-            "dataflow": dataflow,
             "findings": [finding.as_dict() for finding in findings],
         }
         print(json.dumps(payload, indent=2), file=stream)
     else:
         for finding in findings:
             print(finding.render(), file=stream)
-        passes = [name for name, on in (("protocol", protocol),
-                                        ("dataflow", dataflow)) if on]
-        mode = f" (+{'+'.join(passes)})" if passes else ""
         summary = (
-            f"repro.check: {len(findings)} finding(s) in {n_files} "
-            f"file(s){mode}"
+            f"repro.check: {len(findings)} finding(s) in {n_files} file(s)"
             if findings
-            else f"repro.check: OK ({n_files} files, 0 findings{mode})"
+            else f"repro.check: OK ({n_files} files, 0 findings)"
         )
         print(summary, file=stream)
     return 1 if findings else 0
@@ -448,11 +364,10 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="repro-check",
-        description="SPMD static analysis for the PRNA stack "
-        "(per-module rules SPMD001-003/ARCH001/DTYPE101, interprocedural "
-        "protocol rules SPMD1xx/SPMD2xx/SCHED0xx with --protocol, "
-        "numeric dataflow rules DTYPE1xx/SHAPE1xx/COST0xx with "
-        "--dataflow; see docs/static-analysis.md)",
+        description="Static analysis for the PRNA stack: ARCH001, the "
+        "interprocedural protocol rules SPMD1xx/SPMD2xx/SCHED0xx and the "
+        "numeric dataflow rules DTYPE1xx/SHAPE1xx/COST0xx, in one pass "
+        "(see docs/static-analysis.md)",
     )
     parser.add_argument(
         "paths", nargs="*",
@@ -461,17 +376,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--json", action="store_true", dest="json_output",
         help="machine-readable findings for CI annotation",
-    )
-    parser.add_argument(
-        "--protocol", action="store_true",
-        help="run the interprocedural protocol verifier (rank-symbolic "
-        "communication schedules, deadlock and schedule-legality checks)",
-    )
-    parser.add_argument(
-        "--dataflow", action="store_true",
-        help="run the numeric dataflow verifier (interval/shape/dtype "
-        "abstract interpretation of the kernels plus cost-contract "
-        "audits against the planner's WorkModel degrees)",
     )
     parser.add_argument(
         "--sarif", metavar="PATH", dest="sarif_path",
@@ -504,8 +408,6 @@ def main(argv: list[str] | None = None) -> int:
     return run_check(
         args.paths or None,
         json_output=args.json_output,
-        protocol=args.protocol,
-        dataflow=args.dataflow,
         sarif_path=args.sarif_path,
         baseline_path=args.baseline_path,
         update_baseline=args.update_baseline,

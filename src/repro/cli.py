@@ -8,9 +8,8 @@ Subcommands:
 * ``simulate`` — simulated PRNA speedup for a structure/cluster;
 * ``trace-report FILE`` — per-rank compute/comm-wait/idle summary of a
   Chrome trace produced by ``--trace``;
-* ``check [PATHS]`` — SPMD static analysis (per-module rules SPMD001-003/
-  ARCH001/DTYPE101 plus the ``--protocol`` and ``--dataflow``
-  interprocedural verifiers, SARIF and
+* ``check [PATHS]`` — SPMD static analysis (ARCH001, the protocol
+  verifier and the numeric dataflow verifier in one pass, SARIF and
   baseline modes; see ``docs/static-analysis.md``), same engine as
   ``python -m repro.check``;
 * ``experiments ...`` — forwards to ``python -m repro.experiments``.
@@ -285,8 +284,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return run_check(
         args.paths or None,
         json_output=args.json_output,
-        protocol=args.protocol,
-        dataflow=args.dataflow,
         sarif_path=args.sarif_path,
         baseline_path=args.baseline_path,
         update_baseline=args.update_baseline,
@@ -430,8 +427,8 @@ def main(argv: list[str] | None = None) -> int:
 
     check = sub.add_parser(
         "check",
-        help="SPMD static analysis of Python sources (per-module rules "
-        "plus the --protocol and --dataflow interprocedural verifiers)",
+        help="SPMD static analysis of Python sources (ARCH001 plus the "
+        "protocol and numeric dataflow verifiers, in one pass)",
     )
     check.add_argument(
         "paths", nargs="*", help="files or directories (default: src/repro)"
@@ -439,16 +436,6 @@ def main(argv: list[str] | None = None) -> int:
     check.add_argument(
         "--json", action="store_true", dest="json_output",
         help="machine-readable findings for CI annotation",
-    )
-    check.add_argument(
-        "--protocol", action="store_true",
-        help="run the interprocedural protocol verifier "
-        "(SPMD1xx/SPMD2xx/SCHED0xx)",
-    )
-    check.add_argument(
-        "--dataflow", action="store_true",
-        help="run the numeric dataflow verifier "
-        "(DTYPE1xx/SHAPE1xx/COST0xx)",
     )
     check.add_argument(
         "--sarif", metavar="PATH", dest="sarif_path",

@@ -15,10 +15,10 @@ ranks become visible — a collective per row, a collective per pair, or
 point-to-point cell publication — is the executor's whole identity.
 
 Keeping executors as module-level functions (rather than methods behind
-dynamic dispatch) is deliberate: ``repro.check --protocol`` treats any
-module-level function with a ``comm`` parameter as an SPMD entry point
-and can inline direct calls, so each schedule's communication pattern is
-machine-checked both standalone and as inlined into ``prna_rank``.
+dynamic dispatch) is deliberate: ``repro.check`` treats any function
+with a ``comm`` parameter as an SPMD entry point and can inline direct
+calls, so each schedule's communication pattern is machine-checked both
+standalone and as inlined into ``prna_rank``.
 
 Analyzability note: the protocol interpreter's taint heuristic treats
 anything assigned from an ``owned``-named value as rank-dependent, and

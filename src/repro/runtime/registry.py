@@ -197,12 +197,12 @@ declare_schedule(
 
 
 # ----------------------------------------------------------------------
-# Cost contracts and input bounds (audited by ``repro.check --dataflow``)
+# Cost contracts and input bounds (audited by ``repro.check``)
 # ----------------------------------------------------------------------
 
 #: Declared bounds on solver inputs.  These are *contracts*, not limits
 #: enforced at runtime: the numeric dataflow verifier
-#: (``repro.check --dataflow``, rule family DTYPE1xx) uses them to prove
+#: (``repro.check``, rule family DTYPE1xx) uses them to prove
 #: or refute dtype-overflow claims about the kernels — e.g. that the
 #: batched engine's segmented prefix-max lift (``seg_id * stride``,
 #: :mod:`repro.core.slices`) stays far below the int64 limit for every
@@ -229,7 +229,7 @@ class CostContract:
     ``seconds_per_cell * inside1 * inside2`` — a **degree-2** model per
     slice (rows x columns).  Those degrees used to be hand-asserted
     constants; a contract pins them to a specific kernel entry point and
-    ``repro.check --dataflow`` (rule family COST0xx) extracts each
+    ``repro.check`` (rule family COST0xx) extracts each
     kernel's actual loop-nest/vector-op degree from the AST and refutes
     any declaration that disagrees, so an accidental ``O(n^3)`` rewrite of
     a kernel fails the static pass instead of silently invalidating every

@@ -63,7 +63,10 @@ class TestFunctionIndex:
                     return comm
             """
         )
-        assert [e.qualname for e in index.entry_points()] == ["pkg.a.run"]
+        # Methods taking `comm` are entry points too; `pure` is not.
+        assert [e.qualname for e in index.entry_points()] == [
+            "pkg.a.run", "pkg.a.C.method",
+        ]
 
 
 class TestCallResolution:

@@ -3,7 +3,7 @@
 Covers the two abstract domains (intervals, symbolic shapes), the
 interpreter's rule families (DTYPE1xx/SHAPE1xx), the proven-only flagging
 policy (top never flags), and the acceptance criterion that the shipped
-tree is clean under ``--dataflow``.
+tree is clean with every function interpreted.
 """
 
 import ast
@@ -33,10 +33,9 @@ from repro.check.shapes import (
 from repro.runtime.registry import INPUT_BOUNDS
 
 
-def flow(source: str, path: str = "src/fault/core/slices.py",
-         targets=None, bounds=None):
+def flow(source: str, path: str = "src/fault/core/slices.py", bounds=None):
     tree = ast.parse(textwrap.dedent(source), filename=path)
-    return analyze_dataflow({path: tree}, targets=targets, bounds=bounds)
+    return analyze_dataflow({path: tree}, bounds=bounds)
 
 
 def rules_of(findings):
@@ -285,9 +284,10 @@ class TestShapeRules:
 
 
 class TestTargetSelection:
-    def test_only_substrate_and_kernel_names_analyzed(self):
-        # A helper outside the substrate with no kernel prefix is not
-        # interpreted even if it contains a provable fault.
+    def test_every_function_is_analyzed(self):
+        # Every function is interpreted: a provable fault in a helper
+        # outside the kernel modules, with no kernel-style name, is
+        # flagged exactly as it is inside them.
         source = """
             import numpy as np
 
@@ -296,24 +296,12 @@ class TestTargetSelection:
                 b = np.zeros(n + 1)
                 return a + b
         """
-        assert flow(source, path="src/fault/util/misc.py") == []
+        assert rules_of(
+            flow(source, path="src/fault/util/misc.py")
+        ) == ["SHAPE102"]
         assert rules_of(
             flow(source, path="src/fault/core/slices.py")
         ) == ["SHAPE102"]
-
-    def test_explicit_targets_override(self):
-        source = """
-            import numpy as np
-
-            def helper(n):
-                a = np.zeros(n)
-                b = np.zeros(n + 1)
-                return a + b
-        """
-        findings = flow(
-            source, path="src/fault/util/misc.py", targets={"helper"}
-        )
-        assert rules_of(findings) == ["SHAPE102"]
 
 
 class TestMergeSoundness:

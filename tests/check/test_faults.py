@@ -1,16 +1,20 @@
 """Fault injection: each seeded SPMD bug must be caught with its rule ID.
 
-Two tiers.  The classic per-module bugs:
+Every static verdict comes from the single ``repro.check`` pass, except
+for the faults seeded as a bad registry declaration (P6, P7, D4): the
+single pass reads declarations from the registry, so those tests hand
+theirs to the auditing function directly.  The classic single-function
+bugs:
 
-1. rank-0-only barrier          -> SPMD001 (static), SAN101/SAN103 (runtime)
+1. rank-0-only barrier          -> SPMD101 (static), SAN101/SAN103 (runtime)
 2. mismatched Allreduce dtypes  -> SAN102
 3. out-of-partition write       -> SAN202 (runtime)
-4. swapped send/recv tags       -> SPMD002 (static), SAN104 (runtime)
+4. swapped send/recv tags       -> SPMD201 (static), SAN104 (runtime)
 
-And the seeded *protocol* bugs — each one invisible to a single-module
-lexical pass, caught by the interprocedural verifier with its exact rule
-ID, and cross-checked against the runtime sanitizer verdict the same
-fault produces when actually executed (``TestProtocolFaults``):
+And the seeded *protocol* bugs — each one needs the interprocedural view
+(helpers, cross-module constants, declared schedules), is caught with its
+exact rule ID, and is cross-checked against the runtime sanitizer verdict
+the same fault produces when actually executed (``TestProtocolFaults``):
 
 P1. rank-gated collective behind a helper  -> SPMD101 / SAN101
 P2. parity-dependent collective            -> SPMD101 / SAN101
@@ -21,7 +25,7 @@ P6. illegal executor publication order     -> SCHED001 / SAN203
 P7. reversed dataflow publication order    -> SCHED001 / SAN205
 P8. dataflow publication of a stray key    -> SAN204 (runtime only)
 
-And the seeded *numeric* bugs for ``--dataflow`` — value-range, shape,
+And the seeded *numeric* bugs — value-range, shape,
 and cost faults the SPMD rules cannot see (``TestDataflowFaults``).
 Where the fault is runnable its runtime consequence is demonstrated in
 the same test: numpy integer overflow **wraps silently**, so the only
@@ -38,15 +42,16 @@ D7. scatter length mismatch               -> SHAPE103 / ValueError
 """
 
 import ast
+import os
+import tempfile
 import textwrap
 
 import numpy as np
 import pytest
 
-from repro.check import analyze_source
+from repro.check import analyze_project, analyze_source
 from repro.check.callgraph import ProjectIndex
 from repro.check.costs import analyze_costs
-from repro.check.dataflow import analyze_dataflow
 from repro.check.protocol import analyze_protocol, check_declared_schedules
 from repro.check.sanitizer import SanitizedCommunicator
 from repro.core.memo import DenseMemoTable
@@ -71,7 +76,7 @@ class TestRankZeroOnlyBarrier:
                 """
             )
         )
-        assert [f.rule for f in findings] == ["SPMD001"]
+        assert [f.rule for f in findings] == ["SPMD101"]
 
     def test_runtime_divergence(self):
         # Rank 1 skips the barrier and reaches the *next* collective; the
@@ -185,8 +190,8 @@ class TestSwappedTags:
                 """
             )
         )
-        assert "SPMD002" in {f.rule for f in findings}
-        flagged = [f for f in findings if f.rule == "SPMD002"]
+        assert "SPMD201" in {f.rule for f in findings}
+        flagged = [f for f in findings if f.rule == "SPMD201"]
         assert any("tag 4" in f.message for f in flagged)
 
     def test_runtime_detection(self):
@@ -203,19 +208,23 @@ class TestSwappedTags:
 
 
 # ----------------------------------------------------------------------
-# Seeded protocol faults (interprocedural families, ``--protocol``)
+# Seeded protocol faults (interprocedural families)
 # ----------------------------------------------------------------------
 def proto(source: str, path: str = "src/fault/mod.py"):
-    tree = ast.parse(textwrap.dedent(source), filename=path)
-    return analyze_protocol({path: tree})
+    return analyze_source(textwrap.dedent(source), path=path)
 
 
 def proto_modules(**modules: str):
-    trees = {}
-    for name, source in modules.items():
-        path = "src/" + name.replace("_", "/") + ".py"
-        trees[path] = ast.parse(textwrap.dedent(source), filename=path)
-    return analyze_protocol(trees)
+    """The single pass over a temporary tree (``fault_tags`` is written
+    to ``src/fault/tags.py``)."""
+    with tempfile.TemporaryDirectory() as root:
+        for name, source in modules.items():
+            path = os.path.join(root, "src", *name.split("_")) + ".py"
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(textwrap.dedent(source))
+        findings, _ = analyze_project([root])
+    return findings
 
 
 class TestProtocolFaults:
@@ -514,11 +523,10 @@ class TestProtocolFaults:
 
 
 # ----------------------------------------------------------------------
-# Seeded numeric dataflow faults (interval/shape/cost, ``--dataflow``)
+# Seeded numeric dataflow faults (interval/shape/cost)
 # ----------------------------------------------------------------------
 def flow(source: str, path: str = "src/fault/core/slices.py"):
-    tree = ast.parse(textwrap.dedent(source), filename=path)
-    return analyze_dataflow({path: tree})
+    return analyze_source(textwrap.dedent(source), path=path)
 
 
 class TestDataflowFaults:
@@ -546,10 +554,6 @@ class TestDataflowFaults:
                 return tabulate_slice_batched(table)
             """
         assert "DTYPE101" in {f.rule for f in flow(source)}
-        # The lexical form (with the tuple-unpack false negative fixed)
-        # reaches the same verdict without running the interpreter.
-        lexical = analyze_source(textwrap.dedent(source))
-        assert "DTYPE101" in {f.rule for f in lexical}
 
     def test_d1_runtime_parity_break(self):
         # A miniature of the segmented lift: seg_id * stride + value with

@@ -28,6 +28,7 @@ from repro.check.lattice import (
     first_difference,
     iter_events,
 )
+from repro.check import analyze_source
 from repro.check.callgraph import ProjectIndex
 from repro.check.protocol import (
     analyze_protocol,
@@ -38,8 +39,9 @@ from repro.runtime.registry import ScheduleDeclaration
 
 
 def proto(source: str, path: str = "src/snippet/mod.py"):
-    tree = ast.parse(textwrap.dedent(source), filename=path)
-    return analyze_protocol({path: tree})
+    """Findings of the single pass, which reports each rule once per site
+    (both abstract ranks can prove the same divergence)."""
+    return analyze_source(textwrap.dedent(source), path=path)
 
 
 def proto_modules(**modules: str):
@@ -437,6 +439,44 @@ class TestTagMatching:
             """
         )
         assert findings == []
+
+
+# ----------------------------------------------------------------------
+# Patterns only the retired lexical rules used to catch
+# ----------------------------------------------------------------------
+class TestFormerLexicalGaps:
+    def test_rank_conditional_expression_collective(self):
+        findings = proto(
+            """
+            def run(comm, x):
+                y = comm.allreduce(x) if comm.rank == 0 else x
+                return y
+            """
+        )
+        assert rules_of(findings) == ["SPMD101"]
+        assert findings[0].line == 3
+
+    def test_comm_method_with_rank_gated_barrier(self):
+        findings = proto(
+            """
+            class Stage:
+                def run(self, comm):
+                    if comm.rank == 0:
+                        comm.barrier()
+            """
+        )
+        assert rules_of(findings) == ["SPMD101"]
+
+    def test_comm_method_with_unmatched_send(self):
+        findings = proto(
+            """
+            class Stage:
+                def run(self, comm, x):
+                    comm.send(x, 1, tag=3)
+            """
+        )
+        assert rules_of(findings) == ["SPMD201"]
+        assert "tag 3" in findings[0].message
 
 
 # ----------------------------------------------------------------------

@@ -15,252 +15,214 @@ def check(source: str, path: str = "snippet.py"):
     return analyze_source(textwrap.dedent(source), path=path)
 
 
-def check_substrate(source: str):
-    """Analyze as substrate code (exempt from ARCH001), so tests can
-    exercise the SPMD rules on raw communicator constructions."""
-    return check(source, path="repro/mpi/snippet.py")
-
-
 def rules_of(findings) -> list[str]:
     return [finding.rule for finding in findings]
 
 
-class TestSPMD001:
-    def test_barrier_under_rank_if(self):
-        findings = check(
-            """
-            def fn(comm):
-                if comm.rank == 0:
-                    comm.barrier()
-            """
-        )
-        assert rules_of(findings) == ["SPMD001"]
-        assert "barrier" in findings[0].message
-        assert findings[0].line == 4  # snippet has a leading blank line
+def case(source, expected, fragment=None, *, id):
+    return pytest.param(source, expected, fragment, id=id)
 
-    def test_collective_in_else_branch(self):
-        findings = check(
-            """
-            def fn(comm):
-                if comm.rank == 0:
-                    pass
-                else:
-                    comm.bcast(1, root=0)
-            """
-        )
-        assert rules_of(findings) == ["SPMD001"]
 
-    def test_while_and_ifexp(self):
-        findings = check(
-            """
-            def fn(comm, my_rank):
-                while my_rank < 2:
-                    comm.allreduce(1)
-                x = comm.gather(1) if my_rank else None
-            """
-        )
-        assert rules_of(findings) == ["SPMD001", "SPMD001"]
-
-    def test_uniform_conditional_is_clean(self):
-        findings = check(
-            """
-            def fn(comm, n):
-                if n > 10:
-                    comm.barrier()
-            """
-        )
-        assert findings == []
-
-    def test_all_ranks_collective_is_clean(self):
-        findings = check(
-            """
-            def fn(comm):
+#: Every input of the retired lexical rules, with the verdict of the
+#: single pass: SPMD001 inputs now report SPMD101 (or SPMD103 for a
+#: rank-dependent loop), SPMD002 inputs SPMD201 (plus SPMD202 for a
+#: receive no send matches), and lexical DTYPE101 inputs the dataflow
+#: DTYPE101.  *fragment* must appear in the first finding's message.
+FORMER_LEXICAL_CASES = [
+    # -- SPMD001: collectives under rank-dependent control flow --------
+    case(
+        """
+        def fn(comm):
+            if comm.rank == 0:
                 comm.barrier()
-                score = comm.bcast(1, root=0)
-            """
-        )
-        assert findings == []
-
-    def test_nested_function_resets_context(self):
-        # The nested def is *called* from rank-uniform context; flagging
-        # its body would be a false positive.
-        findings = check(
-            """
-            def fn(comm):
-                if comm.rank == 0:
-                    def helper():
-                        comm.barrier()
-            """
-        )
-        assert findings == []
-
-    def test_numpy_reduce_not_a_collective(self):
-        findings = check(
-            """
-            import numpy as np
-            def fn(rank, xs):
-                if rank == 0:
-                    return np.maximum.reduce(xs)
-            """
-        )
-        assert findings == []
-
-    def test_rank_test_inside_collective_free_branch_then_after(self):
-        # Collective *after* the conditional is fine.
-        findings = check(
-            """
-            def fn(comm):
-                if comm.rank == 0:
-                    x = 1
+        """,
+        ["SPMD101"], "barrier", id="spmd001-barrier-under-rank-if",
+    ),
+    case(
+        """
+        def fn(comm):
+            if comm.rank == 0:
+                pass
+            else:
+                comm.bcast(1, root=0)
+        """,
+        ["SPMD101"], id="spmd001-collective-in-else-branch",
+    ),
+    case(
+        """
+        def fn(comm, my_rank):
+            while my_rank < 2:
+                comm.allreduce(1)
+            x = comm.gather(1) if my_rank else None
+        """,
+        ["SPMD103", "SPMD101"], id="spmd001-while-and-ifexp",
+    ),
+    case(
+        """
+        def fn(comm, n):
+            if n > 10:
                 comm.barrier()
-            """
-        )
-        assert findings == []
+        """,
+        [], id="spmd001-uniform-conditional-clean",
+    ),
+    case(
+        """
+        def fn(comm):
+            comm.barrier()
+            score = comm.bcast(1, root=0)
+        """,
+        [], id="spmd001-all-ranks-collective-clean",
+    ),
+    # A nested def runs when its caller decides, not under the enclosing
+    # conditional.
+    case(
+        """
+        def fn(comm):
+            if comm.rank == 0:
+                def helper():
+                    comm.barrier()
+        """,
+        [], id="spmd001-nested-function-resets-context",
+    ),
+    case(
+        """
+        import numpy as np
+        def fn(rank, xs):
+            if rank == 0:
+                return np.maximum.reduce(xs)
+        """,
+        [], id="spmd001-numpy-reduce-not-a-collective",
+    ),
+    case(
+        """
+        def fn(comm):
+            if comm.rank == 0:
+                x = 1
+            comm.barrier()
+        """,
+        [], id="spmd001-collective-after-rank-branch-clean",
+    ),
+    # -- SPMD002: send tags without a matching receive -----------------
+    case(
+        """
+        def fn(comm):
+            comm.send("x", 1, tag=3)
+            comm.recv(0, tag=5)
+        """,
+        ["SPMD201", "SPMD202"], "tag 3", id="spmd002-unmatched-literal-tag",
+    ),
+    case(
+        """
+        def fn(comm):
+            comm.send("x", 1, tag=3)
+            comm.recv(0, tag=3)
+        """,
+        [], id="spmd002-matched-literal-tags-clean",
+    ),
+    case(
+        """
+        TAG_WORK = 7
+        TAG_STOP = 8
+        def fn(comm):
+            comm.send("x", 1, tag=TAG_WORK)
+            comm.recv(0, tag=TAG_WORK)
+            comm.isend("y", 1, tag=TAG_STOP)
+        """,
+        ["SPMD201"], "tag 8", id="spmd002-module-constant-tags",
+    ),
+    case(
+        """
+        class Comm:
+            _PING = 17
+            def fn(self):
+                self.send("x", 1, tag=self._PING)
+                self.recv(0, tag=self._PING)
+        """,
+        [], id="spmd002-class-attribute-tags",
+    ),
+    # A receive with an unresolvable tag may match anything.
+    case(
+        """
+        def fn(comm, tag):
+            comm.send("x", 1, tag=99)
+            comm.recv(0, tag=tag)
+        """,
+        [], id="spmd002-dynamic-recv-is-wildcard",
+    ),
+    case(
+        """
+        def fn(comm):
+            comm.send("x", 1)
+            comm.recv(0)
+        """,
+        [], id="spmd002-default-tags-match",
+    ),
+    # -- lexical DTYPE101 (formerly SPMD004) ---------------------------
+    case(
+        """
+        import numpy as np
+        def fn(s1, s2):
+            values = np.zeros((4, 4), dtype=np.int32)
+            return tabulate_slice_batched(values, s1, s2, 1, 2, None)
+        """,
+        ["DTYPE101"], "int32", id="dtype101-narrow-array-into-lift-kernel",
+    ),
+    case(
+        """
+        import numpy as np
+        def fn():
+            return DenseMemoTable(4, 4, dtype=np.int16)
+        """,
+        ["DTYPE101"], id="dtype101-narrow-memo-table-dtype",
+    ),
+    case(
+        """
+        import numpy as np
+        def fn(s1, s2):
+            memo, aux = np.zeros((4, 4), dtype=np.int16), np.zeros(4)
+            table = memo
+            return tabulate_slice_batched(table, s1, s2, 1, 2, None)
+        """,
+        ["DTYPE101"], "int16", id="dtype101-tuple-unpacked-intermediate",
+    ),
+    case(
+        """
+        import numpy as np
+        def fn(s1, s2):
+            values = np.zeros((4, 4), dtype=np.int32)
+            return tabulate_slice_batched(values, s1, s2, 1, 2, None)  # noqa: SPMD004
+        """,
+        [], id="dtype101-legacy-noqa-token-still-suppresses",
+    ),
+    case(
+        """
+        import numpy as np
+        def fn(s1, s2):
+            values = np.zeros((4, 4), dtype=np.int64)
+            return tabulate_slice_batched(values, s1, s2, 1, 2, None)
+        """,
+        [], id="dtype101-int64-clean",
+    ),
+    case(
+        """
+        import numpy as np
+        def fn():
+            flags = np.zeros(8, dtype=np.uint8)
+            return flags.sum()
+        """,
+        [], id="dtype101-narrow-array-not-reaching-kernel-clean",
+    ),
+]
 
 
-class TestSPMD002:
-    def test_unmatched_literal_tag(self):
-        findings = check(
-            """
-            def fn(comm):
-                comm.send("x", 1, tag=3)
-                comm.recv(0, tag=5)
-            """
-        )
-        assert rules_of(findings) == ["SPMD002"]
-        assert "tag 3" in findings[0].message
-
-    def test_matched_literal_tags_clean(self):
-        findings = check(
-            """
-            def fn(comm):
-                comm.send("x", 1, tag=3)
-                comm.recv(0, tag=3)
-            """
-        )
-        assert findings == []
-
-    def test_module_constant_tags(self):
-        findings = check(
-            """
-            TAG_WORK = 7
-            TAG_STOP = 8
-            def fn(comm):
-                comm.send("x", 1, tag=TAG_WORK)
-                comm.recv(0, tag=TAG_WORK)
-                comm.isend("y", 1, tag=TAG_STOP)
-            """
-        )
-        assert rules_of(findings) == ["SPMD002"]
-        assert "tag 8" in findings[0].message
-
-    def test_class_attribute_tags(self):
-        findings = check(
-            """
-            class Comm:
-                _PING = 17
-                def fn(self):
-                    self.send("x", 1, tag=self._PING)
-                    self.recv(0, tag=self._PING)
-            """
-        )
-        assert findings == []
-
-    def test_dynamic_recv_is_wildcard(self):
-        # A receive with an unresolvable tag may match anything; the whole
-        # module is exempt (conservative, avoids false positives).
-        findings = check(
-            """
-            def fn(comm, tag):
-                comm.send("x", 1, tag=99)
-                comm.recv(0, tag=tag)
-            """
-        )
-        assert findings == []
-
-    def test_default_tags_match(self):
-        findings = check(
-            """
-            def fn(comm):
-                comm.send("x", 1)
-                comm.recv(0)
-            """
-        )
-        assert findings == []
-
-
-class TestLexicalDTYPE101:
-    # Formerly SPMD004 — the rule now reports under its semantic
-    # replacement's ID, and `# noqa: SPMD004` keeps suppressing it.
-    def test_narrow_array_into_lift_kernel(self):
-        findings = check(
-            """
-            import numpy as np
-            def fn(s1, s2):
-                values = np.zeros((4, 4), dtype=np.int32)
-                return tabulate_slice_batched(values, s1, s2, 1, 2, None)
-            """
-        )
-        assert rules_of(findings) == ["DTYPE101"]
-        assert "int32" in findings[0].message
-
-    def test_narrow_memo_table_dtype(self):
-        findings = check(
-            """
-            import numpy as np
-            def fn():
-                return DenseMemoTable(4, 4, dtype=np.int16)
-            """
-        )
-        assert rules_of(findings) == ["DTYPE101"]
-
-    def test_tuple_unpacked_intermediate_flagged(self):
-        # The false negative the dataflow PR fixed: a narrow array bound
-        # through tuple unpacking used to slip past the alias map.
-        findings = check(
-            """
-            import numpy as np
-            def fn(s1, s2):
-                memo, aux = np.zeros((4, 4), dtype=np.int16), np.zeros(4)
-                table = memo
-                return tabulate_slice_batched(table, s1, s2, 1, 2, None)
-            """
-        )
-        assert rules_of(findings) == ["DTYPE101"]
-        assert "int16" in findings[0].message
-
-    def test_legacy_noqa_token_still_suppresses(self):
-        findings = check(
-            """
-            import numpy as np
-            def fn(s1, s2):
-                values = np.zeros((4, 4), dtype=np.int32)
-                return tabulate_slice_batched(values, s1, s2, 1, 2, None)  # noqa: SPMD004
-            """
-        )
-        assert findings == []
-
-    def test_int64_clean(self):
-        findings = check(
-            """
-            import numpy as np
-            def fn(s1, s2):
-                values = np.zeros((4, 4), dtype=np.int64)
-                return tabulate_slice_batched(values, s1, s2, 1, 2, None)
-            """
-        )
-        assert findings == []
-
-    def test_narrow_array_not_reaching_kernel_clean(self):
-        findings = check(
-            """
-            import numpy as np
-            def fn():
-                flags = np.zeros(8, dtype=np.uint8)
-                return flags.sum()
-            """
-        )
-        assert findings == []
+class TestFormerLexicalInputs:
+    @pytest.mark.parametrize("source, expected, fragment",
+                             FORMER_LEXICAL_CASES)
+    def test_single_pass_verdict(self, source, expected, fragment):
+        findings = check(source)
+        assert rules_of(findings) == expected
+        if fragment is not None:
+            assert fragment in findings[0].message
 
 
 class TestARCH001:
@@ -366,7 +328,23 @@ class TestSuppression:
                     comm.barrier()  # noqa: SPMD003
             """
         )
-        assert rules_of(findings) == ["SPMD001"]
+        assert rules_of(findings) == ["SPMD101"]
+
+    def test_retired_lexical_ids_alias_their_successors(self):
+        # The lexical SPMD001/SPMD002 rules retired into the
+        # whole-program SPMD101/SPMD201; old noqa tokens keep working.
+        assert DEPRECATED_RULES["SPMD001"] == "SPMD101"
+        assert DEPRECATED_RULES["SPMD002"] == "SPMD201"
+        assert is_suppressed("SPMD101", "comm.barrier()  # noqa: SPMD001")
+        assert is_suppressed("SPMD201", "comm.send(x, 1)  # noqa: SPMD002")
+        assert not is_suppressed("SPMD103", "comm.barrier()  # noqa: SPMD001")
+        findings = check(
+            """
+            def fn(comm):
+                comm.send("x", 1, tag=3)  # noqa: SPMD002
+            """
+        )
+        assert findings == []
 
     def test_noqa_filters_findings(self):
         findings = check(
@@ -382,12 +360,13 @@ class TestSuppression:
 class TestDriver:
     def test_rule_catalog_complete(self):
         assert set(RULES) == {
-            # Per-module lexical rules (SPMD004 is a deprecated alias).
+            # Deprecated aliases of retired lexical rules.
             "SPMD001",
             "SPMD002",
             "SPMD004",
+            # The one per-module rule.
             "ARCH001",
-            # Interprocedural protocol rules (--protocol).
+            # Interprocedural protocol rules.
             "SPMD101",
             "SPMD102",
             "SPMD103",
@@ -396,7 +375,7 @@ class TestDriver:
             "SCHED001",
             "SCHED002",
             "SCHED003",
-            # Numeric dataflow rules (--dataflow).
+            # Numeric dataflow rules.
             "DTYPE101",
             "DTYPE102",
             "DTYPE103",
@@ -429,8 +408,17 @@ class TestDriver:
         assert run_check([str(path)], json_output=True, stream=stream) == 1
         payload = json.loads(stream.getvalue())
         assert payload["checked_files"] == 1
-        assert payload["findings"][0]["rule"] == "SPMD001"
+        assert "protocol" not in payload and "dataflow" not in payload
+        assert payload["findings"][0]["rule"] == "SPMD101"
         assert payload["findings"][0]["line"] == 3
+
+    @pytest.mark.parametrize("flag", ["--protocol", "--dataflow"])
+    def test_removed_mode_flags_are_usage_errors(self, flag):
+        from repro.check.static import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["src/repro", flag])
+        assert exc.value.code == 2
 
     def test_run_check_missing_path(self):
         stream = io.StringIO()
@@ -463,8 +451,9 @@ class TestNoqaEdgeCases:
         assert findings == []
 
     def test_multiple_rule_ids_on_one_line(self):
-        # The line violates SPMD001; a list mentioning it (among others)
-        # must suppress, a list not mentioning it must not.
+        # The line violates SPMD101; a list mentioning it (here through
+        # its alias SPMD001) must suppress, a list not mentioning it must
+        # not.
         suppressed = check(
             """
             def fn(comm):
@@ -480,7 +469,7 @@ class TestNoqaEdgeCases:
             """
         )
         assert suppressed == []
-        assert rules_of(kept) == ["SPMD001"]
+        assert rules_of(kept) == ["SPMD101"]
 
     def test_noqa_on_continuation_line(self):
         # Black puts the closing paren (and hence the trailing comment)
@@ -521,9 +510,9 @@ class TestNoqaEdgeCases:
             "    if comm.rank == 0:\n"
             "        comm.barrier()\n"
             + filler
-            + "\n    y = 1  # noqa: SPMD001\n"
+            + "\n    y = 1  # noqa: SPMD101\n"
         )
-        assert rules_of(findings) == ["SPMD001"]
+        assert rules_of(findings) == ["SPMD101"]
 
     def test_wrong_rule_on_continuation_line_does_not_suppress(self):
         findings = check(
@@ -536,7 +525,7 @@ class TestNoqaEdgeCases:
                     )  # noqa: SPMD004
             """
         )
-        assert rules_of(findings) == ["SPMD001"]
+        assert rules_of(findings) == ["SPMD101"]
 
 
 BAD_SNIPPET = (
@@ -643,7 +632,8 @@ class TestBaseline:
 
 
 class TestProjectContext:
-    """Satellites: SPMD002 with whole-program context."""
+    """Tag matching (SPMD201/SPMD202, formerly SPMD002) with project
+    constants."""
 
     def test_spmd002_augassign_tag(self):
         # TAG is built up with AugAssign; the folder must track it.
@@ -670,9 +660,9 @@ class TestProjectContext:
                 comm.recv(0, tag=0x100)
             """
         )
-        # Only the send side is flagged (a recv with no matching send is
-        # a liveness question for the runtime sanitizer, not this rule).
-        assert rules_of(findings) == ["SPMD002"]
+        # The send's tag 258 has no receiver and the recv's tag 256 no
+        # sender.
+        assert rules_of(findings) == ["SPMD201", "SPMD202"]
         assert "tag 258" in findings[0].message
 
     def test_spmd002_tuple_unpacking_tags(self):
@@ -706,7 +696,7 @@ class TestProjectContext:
             "    comm.recv(0, tag=12)\n"
         )
         findings, _ = analyze_project([str(tmp_path)])
-        assert [f.rule for f in findings] == ["SPMD002"]
+        assert [f.rule for f in findings] == ["SPMD201", "SPMD202"]
         assert "tag 11" in findings[0].message
 
 
@@ -764,7 +754,15 @@ class TestCLI:
         )
         assert main(["check", str(path)]) == 1
         out = capsys.readouterr().out
-        assert "SPMD001" in out
+        assert "SPMD101" in out
+
+    @pytest.mark.parametrize("flag", ["--protocol", "--dataflow"])
+    def test_check_removed_mode_flags(self, flag):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["check", flag])
+        assert exc.value.code == 2
 
     def test_check_list_rules(self, capsys):
         from repro.cli import main

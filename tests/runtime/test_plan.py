@@ -126,7 +126,7 @@ class TestPlanObject:
 
     def test_cost_contract_attached_and_serialized(self, planner, small):
         # Every engine the planner can choose carries a statically
-        # audited CostContract (repro.check --dataflow, COST001), and the
+        # audited CostContract (repro.check, COST001), and the
         # plan serializes it for downstream tooling.
         plan = planner.plan(small, small)
         contract = plan.cost_contract()
