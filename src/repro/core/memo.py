@@ -19,6 +19,7 @@ Two implementations share one interface:
 
 from __future__ import annotations
 
+import mmap
 from typing import Protocol
 
 import numpy as np
@@ -81,6 +82,25 @@ class DenseMemoTable:
     ):
         self._values = np.zeros((max(n, 1), max(m, 1)), dtype=dtype)
         self._known = np.zeros_like(self._values, dtype=bool) if track_known else None
+
+    @classmethod
+    def shared(
+        cls, n: int, m: int, dtype: np.dtype | type = np.int64
+    ) -> "DenseMemoTable":
+        """Zeroed table in an anonymous shared mapping.
+
+        ``mmap.mmap(-1, nbytes)`` is ``MAP_SHARED | MAP_ANONYMOUS``: a
+        process forked after this call writes pages the caller sees, so a
+        forked rank can fill the table without sending it back.  The
+        mapping has no name to unlink and is freed with the array.
+        """
+        table = cls.__new__(cls)
+        shape = (max(n, 1), max(m, 1))
+        nbytes = shape[0] * shape[1] * np.dtype(dtype).itemsize
+        buffer = mmap.mmap(-1, nbytes)
+        table._values = np.frombuffer(buffer, dtype=dtype).reshape(shape)
+        table._known = None
+        return table
 
     @property
     def values(self) -> np.ndarray:

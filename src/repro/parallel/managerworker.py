@@ -58,13 +58,21 @@ _TAG_RESULT = 0x6002
 
 @dataclass
 class ManagerWorkerResult:
-    """Per-rank outcome of a manager-worker run."""
+    """Per-rank outcome of a manager-worker run.
+
+    ``memo`` is the manager's complete table or ``None``.
+    :func:`manager_worker` always sets it, attaching the table it owns
+    after the launch.  :func:`manager_worker_rank` returns one only on
+    the manager and only when it allocated the table itself; workers'
+    replicas are never returned.
+    """
 
     score: int
     rank: int
     size: int
-    memo: DenseMemoTable | None  # only the manager's table is complete
+    memo: DenseMemoTable | None
     tasks_computed: int
+    simulated_time: float | None = None
 
     def __int__(self) -> int:
         return self.score
@@ -89,11 +97,14 @@ def manager_worker_rank(
     s2: Structure,
     *,
     engine: str = "vectorized",
+    memo: DenseMemoTable | None = None,
 ) -> ManagerWorkerResult:
     """SPMD body: rank 0 manages, other ranks work.
 
     With a single rank the manager computes everything itself (degenerating
-    to SRNA2), so the function is usable at any world size.
+    to SRNA2), so the function is usable at any world size.  *memo* is a
+    caller-owned zeroed table for the manager to fill in place (the
+    result then carries ``memo=None``); workers ignore it.
     """
     try:
         tabulate = ENGINES[engine]
@@ -111,7 +122,7 @@ def manager_worker_rank(
 
     if comm.rank == 0:
         return _manager(
-            comm, s1, s2, tabulate,
+            comm, s1, s2, tabulate, memo,
             inner1, inner2, lefts1, rights1, lefts2, rights2,
         )
     return _worker(
@@ -121,12 +132,12 @@ def manager_worker_rank(
 
 
 def _manager(
-    comm, s1, s2, tabulate,
+    comm, s1, s2, tabulate, memo,
     inner1, inner2, lefts1, rights1, lefts2, rights2,
 ) -> ManagerWorkerResult:
     n, m = s1.length, s2.length
-    memo = DenseMemoTable(n, m)
-    values = memo.values
+    table = DenseMemoTable(n, m) if memo is None else memo
+    values = table.values
     workers = list(range(1, comm.size))
     tasks_computed = 0
     # Workers whose task request has arrived but not yet been answered.
@@ -177,11 +188,13 @@ def _manager(
             ranges=((0, s1.n_arcs), (0, s2.n_arcs)),
         )
     )
-    memo.store(0, 0, score)
+    table.store(0, 0, score)
     for worker in workers:
         comm.send(("stop", -1, None), worker, _TAG_TASK)
     score = comm.bcast(score, root=0)
-    return ManagerWorkerResult(score, 0, comm.size, memo, tasks_computed)
+    return ManagerWorkerResult(
+        score, 0, comm.size, table if memo is None else None, tasks_computed
+    )
 
 
 def _worker(
@@ -228,6 +241,7 @@ def manager_worker(
     backend: str = "thread",
     collect_stats: bool = False,
     tracer: Tracer | None = None,
+    cost_model: CostModel | None = None,
 ) -> ManagerWorkerResult:
     """Convenience driver: run the scheme on *n_ranks*; the manager's result.
 
@@ -236,14 +250,31 @@ def manager_worker(
     :class:`repro.runtime.ExecutionContext`.  The manager polls per-worker
     point-to-point queues, so the in-process backends (``"thread"``, or
     ``"self"`` for the degenerate single-rank world) are the natural fit.
+    With *cost_model*, virtual clocks run and the result carries the
+    manager's simulated time.
+
+    As in :func:`~repro.parallel.prna.prna`, this function owns the
+    manager's table: a :meth:`~repro.core.memo.DenseMemoTable.shared`
+    table the manager fills in place, attached to the result after the
+    launch.
     """
     context = ExecutionContext(tracer=tracer, collect_stats=collect_stats)
+    memo = DenseMemoTable.shared(s1.length, s2.length)
     results = context.launch(
-        lambda comm: manager_worker_rank(comm, s1, s2, engine=engine),
+        lambda comm: manager_worker_rank(
+            comm, s1, s2, engine=engine,
+            memo=memo if comm.rank == 0 else None,
+        ),
         n_ranks=n_ranks,
         backend=backend,
+        cost_model=cost_model,
     )
-    return results[0]
+    result = results[0]
+    if cost_model is not None:
+        result, simulated = result
+        result.simulated_time = simulated
+    result.memo = memo
+    return result
 
 
 # ----------------------------------------------------------------------

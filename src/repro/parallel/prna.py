@@ -71,13 +71,20 @@ STAGE_ONE_EXECUTORS = {
 
 @dataclass
 class PRNAResult:
-    """Per-rank outcome of a PRNA run."""
+    """Per-rank outcome of a PRNA run.
+
+    ``memo`` is rank 0's consolidated table or ``None``.  :func:`prna`
+    always sets it, attaching the table it owns after the launch.
+    :func:`prna_rank` returns one only on rank 0 and only when it
+    allocated the table itself, so the rank results a :func:`prna`
+    launch sends back never carry one.
+    """
 
     score: int
     rank: int
     size: int
     partition: Partition
-    memo: DenseMemoTable
+    memo: DenseMemoTable | None
     simulated_time: float | None = None
     instrumentation: Instrumentation | None = None
     #: ``CommStats.as_dict()`` of this rank's communicator, when stats were
@@ -104,6 +111,7 @@ def prna_rank(
     tracer: Tracer | None = None,
     sanitize: bool = False,
     sanitize_timeout: float = 30.0,
+    memo: DenseMemoTable | None = None,
 ) -> PRNAResult:
     """Run one rank's share of PRNA (call from SPMD context).
 
@@ -148,6 +156,13 @@ def prna_rank(
         bit-identical to unsanitized runs; the validation overhead is
         accounted in ``CommStats.sanitizer_checks``/``sanitizer_ns`` and
         (with *tracer*) as ``"sanitizer"``-category spans.
+    memo:
+        A zeroed ``(n, m)`` table owned by the caller to tabulate into,
+        instead of a private one.  :func:`prna` hands rank 0 a shared
+        mapping here, so stage one and stage two fill the caller's table
+        in place and the result carries ``memo=None``.  Without it, rank 0
+        returns the table it allocated; other ranks' tables are scratch
+        and are never returned.
     """
     if sync_mode not in SYNC_MODES:
         raise ValueError(f"unknown sync_mode {sync_mode!r}; one of {SYNC_MODES}")
@@ -205,12 +220,12 @@ def prna_rank(
     owned = partition.tasks_of(comm.rank)
     owned_arr = np.asarray(owned, dtype=np.int64)
     owned_cols = s2.lefts[owned_arr] + 1
-    memo = DenseMemoTable(n, m)
+    table = DenseMemoTable(n, m) if memo is None else memo
     if sanitize:
         # Register the table with the sanitizer: this rank may only write
         # its owned columns between row synchronizations.
-        memo = comm.guard_memo(memo, owned_columns=owned_cols)
-    values = memo.values
+        table = comm.guard_memo(table, owned_columns=owned_cols)
+    values = table.values
     # With a batch-capable engine the owned-column loop becomes one
     # batch per outer arc: the rank's partition defines the batch.
     # (The "pair" ablation needs a collective per arc pair, so it
@@ -312,7 +327,7 @@ def prna_rank(
             score = comm.bcast(score, root=0)
         # Every rank stores the agreed score after the final broadcast, so
         # the identical write is race-free by construction.
-        memo.store(0, 0, score)
+        table.store(0, 0, score)
     finally:
         if stage_ctx is not None:
             stage_ctx.__exit__(None, None, None)
@@ -322,7 +337,7 @@ def prna_rank(
         rank=comm.rank,
         size=comm.size,
         partition=partition,
-        memo=memo,
+        memo=table if memo is None and comm.rank == 0 else None,
         simulated_time=comm.simulated_time,
         instrumentation=inst,
         comm_stats=comm.stats.as_dict() if comm.stats is not None else None,
@@ -365,8 +380,16 @@ def prna(
     Backend dispatch, stats enabling and tracer ownership live in
     :class:`repro.runtime.ExecutionContext`; this driver is a thin shim
     binding :func:`prna_rank` into ``context.launch``.
+
+    This function owns rank 0's memo table: it allocates a
+    :meth:`~repro.core.memo.DenseMemoTable.shared` table before the
+    launch, rank 0 tabulates into it (a forked rank writes pages this
+    process sees), and it is attached to rank 0's result afterwards.  No
+    rank returns a table, so nothing the size of the memo crosses the
+    launch on any backend.
     """
     context = ExecutionContext(tracer=tracer, collect_stats=collect_stats)
+    memo = DenseMemoTable.shared(s1.length, s2.length)
 
     def rank_main(comm: Communicator) -> PRNAResult:
         return prna_rank(
@@ -374,13 +397,15 @@ def prna(
             partitioner=partitioner, engine=engine, sync_mode=sync_mode,
             charge=charge, work_model=work_model, validate=validate,
             tracer=tracer, sanitize=sanitize, sanitize_timeout=sanitize_timeout,
+            memo=memo if comm.rank == 0 else None,
         )
 
     results = context.launch(
         rank_main, n_ranks=n_ranks, backend=backend, cost_model=cost_model
     )
+    result = results[0]
     if cost_model is not None:
-        result, simulated = results[0]
+        result, simulated = result
         result.simulated_time = simulated
-        return result
-    return results[0]
+    result.memo = memo
+    return result

@@ -300,23 +300,19 @@ class Solver:
                 simulated_time=res.simulated_time,
             )
         if plan.algorithm == "managerworker":
-            from repro.parallel.managerworker import manager_worker_rank
+            from repro.parallel.managerworker import manager_worker
 
-            results = ctx.launch(
-                lambda comm: manager_worker_rank(
-                    comm, s1, s2, engine=plan.engine or "vectorized"
-                ),
-                n_ranks=plan.n_ranks,
+            res = manager_worker(
+                s1, s2, plan.n_ranks,
+                engine=plan.engine or "vectorized",
                 backend=plan.backend,
+                collect_stats=ctx.collect_stats,
+                tracer=ctx.tracer,
                 cost_model=cost_model,
             )
-            first = results[0]
-            simulated = None
-            if cost_model is not None:
-                first, simulated = first
             return SolveResult(
-                score=first.score, plan=plan, memo=first.memo,
-                simulated_time=simulated,
+                score=res.score, plan=plan, memo=res.memo,
+                simulated_time=res.simulated_time,
             )
         raise ValueError(f"algorithm {plan.algorithm!r} is not parallel")
 

@@ -39,12 +39,24 @@ D4. mis-declared cost-contract degree     -> COST001  (no runtime crash)
 D5. ``np.take`` out= off-by-one           -> SHAPE103 / ValueError
 D6. lossy cast of a bounded prefix sum    -> DTYPE103 / silent wrap
 D7. scatter length mismatch               -> SHAPE103 / ValueError
+
+And the seeded *process* faults, in the last rank of a 2-rank process
+world (``TestRankFaults``): each one must be reported within the
+deadline plus 2 s, naming the rank at fault and how it ended:
+
+R1. exception                             -> rank 1 failed + traceback
+R2. ``os._exit(3)``                       -> rank 1 died (exit code 3)
+R3. SIGKILL                               -> rank 1 died (signal SIGKILL)
+R4. hang                                  -> rank 1 timed out
 """
 
 import ast
 import os
+import re
+import signal
 import tempfile
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -55,9 +67,10 @@ from repro.check.costs import analyze_costs
 from repro.check.protocol import analyze_protocol, check_declared_schedules
 from repro.check.sanitizer import SanitizedCommunicator
 from repro.core.memo import DenseMemoTable
-from repro.errors import SanitizerError
+from repro.errors import CommunicatorError, SanitizerError
 from repro.mpi.communicator import ReduceOp
 from repro.mpi.inprocess import run_threaded
+from repro.mpi.process import run_multiprocess
 from repro.runtime.registry import CostContract, ScheduleDeclaration
 
 
@@ -225,6 +238,44 @@ def proto_modules(**modules: str):
                 handle.write(textwrap.dedent(source))
         findings, _ = analyze_project([root])
     return findings
+
+
+def _fault_in_last_rank(comm, fault):
+    last = comm.size - 1
+    if comm.rank == last:
+        if fault == "exception":
+            raise RuntimeError("seeded fault")
+        if fault == "exit":
+            os._exit(3)
+        if fault == "sigkill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(60)  # hang
+    if fault == "hang":
+        return comm.rank
+    # The other ranks block on the faulty one, as PRNA's peers would.
+    return comm.recv(last)
+
+
+class TestRankFaults:
+    @pytest.mark.parametrize(
+        "fault, report",
+        [
+            ("exception", r"rank 1 failed:\n.*RuntimeError: seeded fault"),
+            ("exit", r"rank 1 died \(exit code 3\)"),
+            ("sigkill", r"rank 1 died \(signal SIGKILL\)"),
+            ("hang", r"rank 1 timed out: still running after 2 s"),
+        ],
+        ids=["exception", "exit", "sigkill", "hang"],
+    )
+    def test_last_rank_named_within_deadline(self, fault, report):
+        timeout = 2.0
+        start = time.monotonic()
+        with pytest.raises(CommunicatorError) as failure:
+            run_multiprocess(_fault_in_last_rank, 2, args=(fault,), timeout=timeout)
+        elapsed = time.monotonic() - start
+        # The rank at fault leads the report, ahead of any peer it took down.
+        assert re.match(report, str(failure.value), re.DOTALL), str(failure.value)
+        assert elapsed < timeout + 2.0
 
 
 class TestProtocolFaults:

@@ -54,6 +54,40 @@ class TestDenseMemoTable:
         assert memo.values.dtype == np.int32
 
 
+class TestSharedDenseMemoTable:
+    def test_starts_zeroed_and_writable(self):
+        memo = DenseMemoTable.shared(5, 7)
+        assert memo.shape == (5, 7)
+        assert memo.values.dtype == np.int64
+        assert memo.values.flags.writeable
+        assert not memo.values.any()
+        memo.store(2, 3, 9)
+        assert memo.lookup(2, 3) == 9
+
+    def test_zero_dimensions_padded(self):
+        assert DenseMemoTable.shared(0, 0).shape == (1, 1)
+
+    def test_forked_child_write_visible_in_parent(self):
+        import multiprocessing as mp
+
+        shared = DenseMemoTable.shared(4, 6)
+        private = DenseMemoTable(4, 6)
+
+        def child():
+            shared.store(3, 5, 41)
+            private.store(3, 5, 41)
+
+        worker = mp.get_context("fork").Process(target=child)
+        worker.start()
+        worker.join(timeout=30)
+        assert worker.exitcode == 0
+        assert shared.lookup(3, 5) == 41
+        assert int(shared.values.sum()) == 41
+        # A private table is copied on write, so the child's store stays
+        # in the child: what the shared mapping adds is exactly this.
+        assert private.lookup(3, 5) == 0
+
+
 class TestSparseMemoTable:
     def test_store_lookup(self):
         memo = SparseMemoTable(4, 4)

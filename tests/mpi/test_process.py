@@ -65,6 +65,21 @@ class TestRunMultiprocess:
         with pytest.raises(CommunicatorError, match="deliberate failure"):
             run_multiprocess(_failing_rank, 2)
 
+    def test_dead_peer_is_named_not_waited_for(self):
+        import multiprocessing as mp
+
+        from repro.mpi.process import ProcessCommunicator
+
+        mine, theirs = mp.Pipe(duplex=True)
+        theirs.close()
+        comm = ProcessCommunicator(0, 2, {1: mine})
+        with pytest.raises(CommunicatorError, match="peer rank 1 closed"):
+            comm.recv(1)
+        with pytest.raises(CommunicatorError, match="peer rank 1 closed"):
+            comm.irecv(1).test()
+        with pytest.raises(CommunicatorError, match="peer rank 1 closed"):
+            comm.send("x", 1)
+
     def test_closure_arguments_work_with_fork(self):
         payload = {"key": [1, 2, 3]}
 
