@@ -84,9 +84,7 @@ class DenseMemoTable:
         self._known = np.zeros_like(self._values, dtype=bool) if track_known else None
 
     @classmethod
-    def shared(
-        cls, n: int, m: int, dtype: np.dtype | type = np.int64
-    ) -> "DenseMemoTable":
+    def shared(cls, n: int, m: int) -> "DenseMemoTable":
         """Zeroed table in an anonymous shared mapping.
 
         ``mmap.mmap(-1, nbytes)`` is ``MAP_SHARED | MAP_ANONYMOUS``: a
@@ -96,9 +94,8 @@ class DenseMemoTable:
         """
         table = cls.__new__(cls)
         shape = (max(n, 1), max(m, 1))
-        nbytes = shape[0] * shape[1] * np.dtype(dtype).itemsize
-        buffer = mmap.mmap(-1, nbytes)
-        table._values = np.frombuffer(buffer, dtype=dtype).reshape(shape)
+        buffer = mmap.mmap(-1, shape[0] * shape[1] * np.dtype(np.int64).itemsize)
+        table._values = np.frombuffer(buffer, dtype=np.int64).reshape(shape)
         table._known = None
         return table
 

@@ -201,8 +201,8 @@ def _child_main(
 #: Failure kinds, root cause first: a rank that died or raised explains the
 #: peers that then lost it, and a hang is reported only when nothing failed.
 _CAUSES = ("died", "error", "lost", "timeout")
-#: Seconds a rank whose result pipe hit EOF gets to finish exiting, so the
-#: exit code reported is its own and not the kill that ends the run.
+#: Seconds a rank that sent no result gets to finish exiting, so the exit
+#: code reported is its own and not the kill that ends the run.
 _EXIT_WAIT_S = 1.0
 
 
@@ -235,7 +235,7 @@ def _await_results(
                 # unless something else still holds the write end.
                 if reader in waiting and not reader.poll(0):
                     del waiting[reader]
-                    failures[rank] = ("died", "")
+                    failures[rank] = ("died", _exit_reason(workers[rank]))
                 continue
             if handle not in waiting:
                 continue
@@ -243,8 +243,7 @@ def _await_results(
             try:
                 status, payload, simulated = handle.recv()
             except (EOFError, OSError):  # no result, or a truncated one
-                workers[rank].join(_EXIT_WAIT_S)
-                failures[rank] = ("died", "")
+                failures[rank] = ("died", _exit_reason(workers[rank]))
                 continue
             if status == "ok":
                 results[rank] = (payload, simulated)
@@ -253,18 +252,29 @@ def _await_results(
     return results, failures
 
 
-def _describe(
-    rank: int, cause: str, detail: str, exitcode: int | None, timeout: float
-) -> str:
+def _exit_reason(worker: Any) -> str:
+    """How *worker* ended, read before the end of the run kills it.
+
+    Its pipes and sentinel close before the kernel can report its exit
+    status, so this waits up to :data:`_EXIT_WAIT_S` for it.  A rank still
+    running after that closed its result pipe without exiting; the kill
+    that follows is the parent's, so its reason stays unknown.
+    """
+    worker.join(_EXIT_WAIT_S)
+    exitcode = worker.exitcode
+    if exitcode is None:
+        return "exit reason unknown: still running after closing its result pipe"
+    if exitcode < 0:
+        try:
+            return f"signal {signal.Signals(-exitcode).name}"
+        except ValueError:
+            return f"signal {-exitcode}"
+    return f"exit code {exitcode}"
+
+
+def _describe(rank: int, cause: str, detail: str, timeout: float) -> str:
     if cause == "died":
-        if exitcode is not None and exitcode < 0:
-            try:
-                how = f"signal {signal.Signals(-exitcode).name}"
-            except ValueError:
-                how = f"signal {-exitcode}"
-        else:
-            how = f"exit code {exitcode}"
-        return f"rank {rank} died ({how}) before sending its result"
+        return f"rank {rank} died ({detail}) before sending its result"
     if cause == "timeout":
         return f"rank {rank} timed out: still running after {timeout:g} s"
     return f"rank {rank} failed:\n{detail}"
@@ -347,7 +357,7 @@ def run_multiprocess(
             key=lambda item: (_CAUSES.index(item[1][0]), item[0]),
         )
         reports = [
-            _describe(rank, cause, detail, workers[rank].exitcode, timeout)
+            _describe(rank, cause, detail, timeout)
             for rank, (cause, detail) in ordered
         ]
         others = [report.strip().splitlines()[-1] for report in reports[1:]]

@@ -40,6 +40,7 @@ from repro.errors import SimulationError
 from repro.mpi.communicator import Communicator
 from repro.mpi.costmodel import ClusterSpec, CostModel, DEFAULT_CLUSTER
 from repro.obs.tracer import Tracer
+from repro.parallel.handoff import launch_rank0_memo
 from repro.perf.model import WorkModel
 from repro.runtime.context import ExecutionContext
 from repro.structure.arcs import Structure
@@ -60,11 +61,10 @@ _TAG_RESULT = 0x6002
 class ManagerWorkerResult:
     """Per-rank outcome of a manager-worker run.
 
-    ``memo`` is the manager's complete table or ``None``.
-    :func:`manager_worker` always sets it, attaching the table it owns
-    after the launch.  :func:`manager_worker_rank` returns one only on
-    the manager and only when it allocated the table itself; workers'
-    replicas are never returned.
+    ``memo`` is the manager's complete table; workers return ``None``.
+    The rank results of a :func:`manager_worker` launch carry ``None``;
+    :func:`manager_worker` attaches the manager's table, which it owns,
+    to the result it returns.
     """
 
     score: int
@@ -102,9 +102,9 @@ def manager_worker_rank(
     """SPMD body: rank 0 manages, other ranks work.
 
     With a single rank the manager computes everything itself (degenerating
-    to SRNA2), so the function is usable at any world size.  *memo* is a
-    caller-owned zeroed table for the manager to fill in place (the
-    result then carries ``memo=None``); workers ignore it.
+    to SRNA2), so the function is usable at any world size.  *memo*
+    (driver-internal) is a caller-owned zeroed table for the manager to
+    fill in place; workers ignore it.
     """
     try:
         tabulate = ENGINES[engine]
@@ -136,8 +136,9 @@ def _manager(
     inner1, inner2, lefts1, rights1, lefts2, rights2,
 ) -> ManagerWorkerResult:
     n, m = s1.length, s2.length
-    table = DenseMemoTable(n, m) if memo is None else memo
-    values = table.values
+    if memo is None:
+        memo = DenseMemoTable(n, m)
+    values = memo.values
     workers = list(range(1, comm.size))
     tasks_computed = 0
     # Workers whose task request has arrived but not yet been answered.
@@ -188,13 +189,11 @@ def _manager(
             ranges=((0, s1.n_arcs), (0, s2.n_arcs)),
         )
     )
-    table.store(0, 0, score)
+    memo.store(0, 0, score)
     for worker in workers:
         comm.send(("stop", -1, None), worker, _TAG_TASK)
     score = comm.bcast(score, root=0)
-    return ManagerWorkerResult(
-        score, 0, comm.size, table if memo is None else None, tasks_computed
-    )
+    return ManagerWorkerResult(score, 0, comm.size, memo, tasks_computed)
 
 
 def _worker(
@@ -254,27 +253,17 @@ def manager_worker(
     manager's simulated time.
 
     As in :func:`~repro.parallel.prna.prna`, this function owns the
-    manager's table: a :meth:`~repro.core.memo.DenseMemoTable.shared`
-    table the manager fills in place, attached to the result after the
-    launch.
+    manager's table (:func:`~repro.parallel.handoff.launch_rank0_memo`):
+    the manager fills it in place and no rank returns a table.
     """
-    context = ExecutionContext(tracer=tracer, collect_stats=collect_stats)
-    memo = DenseMemoTable.shared(s1.length, s2.length)
-    results = context.launch(
-        lambda comm: manager_worker_rank(
-            comm, s1, s2, engine=engine,
-            memo=memo if comm.rank == 0 else None,
+    return launch_rank0_memo(
+        ExecutionContext(tracer=tracer, collect_stats=collect_stats),
+        lambda comm, memo: manager_worker_rank(
+            comm, s1, s2, engine=engine, memo=memo
         ),
-        n_ranks=n_ranks,
-        backend=backend,
-        cost_model=cost_model,
+        s1.length, s2.length,
+        n_ranks=n_ranks, backend=backend, cost_model=cost_model,
     )
-    result = results[0]
-    if cost_model is not None:
-        result, simulated = result
-        result.simulated_time = simulated
-    result.memo = memo
-    return result
 
 
 # ----------------------------------------------------------------------

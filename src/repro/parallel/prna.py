@@ -42,6 +42,7 @@ from repro.errors import CommunicatorError
 from repro.mpi.communicator import Communicator
 from repro.obs.tracer import NULL_SPAN, Tracer
 from repro.parallel.dataflow import dataflow_stage_one
+from repro.parallel.handoff import launch_rank0_memo
 from repro.parallel.schedule import StageOneState, row_barrier_stage_one
 from repro.perf.model import WorkModel
 from repro.runtime.context import ExecutionContext, sanitize_communicator
@@ -73,11 +74,10 @@ STAGE_ONE_EXECUTORS = {
 class PRNAResult:
     """Per-rank outcome of a PRNA run.
 
-    ``memo`` is rank 0's consolidated table or ``None``.  :func:`prna`
-    always sets it, attaching the table it owns after the launch.
-    :func:`prna_rank` returns one only on rank 0 and only when it
-    allocated the table itself, so the rank results a :func:`prna`
-    launch sends back never carry one.
+    ``memo`` is the rank's table; only rank 0's is complete.  The rank
+    results of a :func:`prna` launch carry ``None`` (no table crosses the
+    launch); :func:`prna` attaches rank 0's table, which it owns, to the
+    result it returns.
     """
 
     score: int
@@ -157,12 +157,10 @@ def prna_rank(
         accounted in ``CommStats.sanitizer_checks``/``sanitizer_ns`` and
         (with *tracer*) as ``"sanitizer"``-category spans.
     memo:
-        A zeroed ``(n, m)`` table owned by the caller to tabulate into,
-        instead of a private one.  :func:`prna` hands rank 0 a shared
-        mapping here, so stage one and stage two fill the caller's table
-        in place and the result carries ``memo=None``.  Without it, rank 0
-        returns the table it allocated; other ranks' tables are scratch
-        and are never returned.
+        Driver-internal: a zeroed ``(n, m)`` table owned by the caller to
+        tabulate into instead of a private one.  :func:`prna` hands rank
+        0 a shared mapping here, so stage one and stage two fill the
+        caller's table in place.
     """
     if sync_mode not in SYNC_MODES:
         raise ValueError(f"unknown sync_mode {sync_mode!r}; one of {SYNC_MODES}")
@@ -220,12 +218,13 @@ def prna_rank(
     owned = partition.tasks_of(comm.rank)
     owned_arr = np.asarray(owned, dtype=np.int64)
     owned_cols = s2.lefts[owned_arr] + 1
-    table = DenseMemoTable(n, m) if memo is None else memo
+    if memo is None:
+        memo = DenseMemoTable(n, m)
     if sanitize:
         # Register the table with the sanitizer: this rank may only write
         # its owned columns between row synchronizations.
-        table = comm.guard_memo(table, owned_columns=owned_cols)
-    values = table.values
+        memo = comm.guard_memo(memo, owned_columns=owned_cols)
+    values = memo.values
     # With a batch-capable engine the owned-column loop becomes one
     # batch per outer arc: the rank's partition defines the batch.
     # (The "pair" ablation needs a collective per arc pair, so it
@@ -327,7 +326,7 @@ def prna_rank(
             score = comm.bcast(score, root=0)
         # Every rank stores the agreed score after the final broadcast, so
         # the identical write is race-free by construction.
-        table.store(0, 0, score)
+        memo.store(0, 0, score)
     finally:
         if stage_ctx is not None:
             stage_ctx.__exit__(None, None, None)
@@ -337,7 +336,7 @@ def prna_rank(
         rank=comm.rank,
         size=comm.size,
         partition=partition,
-        memo=table if memo is None and comm.rank == 0 else None,
+        memo=memo,
         simulated_time=comm.simulated_time,
         instrumentation=inst,
         comm_stats=comm.stats.as_dict() if comm.stats is not None else None,
@@ -381,31 +380,23 @@ def prna(
     :class:`repro.runtime.ExecutionContext`; this driver is a thin shim
     binding :func:`prna_rank` into ``context.launch``.
 
-    This function owns rank 0's memo table: it allocates a
-    :meth:`~repro.core.memo.DenseMemoTable.shared` table before the
-    launch, rank 0 tabulates into it (a forked rank writes pages this
-    process sees), and it is attached to rank 0's result afterwards.  No
-    rank returns a table, so nothing the size of the memo crosses the
-    launch on any backend.
+    This function owns rank 0's memo table
+    (:func:`~repro.parallel.handoff.launch_rank0_memo`): rank 0
+    tabulates into a table allocated before the launch, no rank returns
+    a table, and the result carries it afterwards.
     """
     context = ExecutionContext(tracer=tracer, collect_stats=collect_stats)
-    memo = DenseMemoTable.shared(s1.length, s2.length)
 
-    def rank_main(comm: Communicator) -> PRNAResult:
+    def rank_main(comm: Communicator, memo: DenseMemoTable | None) -> PRNAResult:
         return prna_rank(
             comm, s1, s2,
             partitioner=partitioner, engine=engine, sync_mode=sync_mode,
             charge=charge, work_model=work_model, validate=validate,
             tracer=tracer, sanitize=sanitize, sanitize_timeout=sanitize_timeout,
-            memo=memo if comm.rank == 0 else None,
+            memo=memo,
         )
 
-    results = context.launch(
-        rank_main, n_ranks=n_ranks, backend=backend, cost_model=cost_model
+    return launch_rank0_memo(
+        context, rank_main, s1.length, s2.length,
+        n_ranks=n_ranks, backend=backend, cost_model=cost_model,
     )
-    result = results[0]
-    if cost_model is not None:
-        result, simulated = result
-        result.simulated_time = simulated
-    result.memo = memo
-    return result

@@ -80,6 +80,20 @@ class TestRunMultiprocess:
         with pytest.raises(CommunicatorError, match="peer rank 1 closed"):
             comm.send("x", 1)
 
+    def test_exit_reason_of_a_rank_still_running_is_unknown(self):
+        # A rank whose result pipe closed but which has not exited yet is
+        # killed by the parent afterwards; that SIGKILL is not its cause.
+        from types import SimpleNamespace
+
+        from repro.mpi.process import _exit_reason
+
+        def worker(exitcode):
+            return SimpleNamespace(exitcode=exitcode, join=lambda timeout: None)
+
+        assert _exit_reason(worker(None)).startswith("exit reason unknown")
+        assert _exit_reason(worker(-9)) == "signal SIGKILL"
+        assert _exit_reason(worker(3)) == "exit code 3"
+
     def test_closure_arguments_work_with_fork(self):
         payload = {"key": [1, 2, 3]}
 
